@@ -62,12 +62,20 @@ pub fn numerical_flux<P: Physics>(
     }
 }
 
+/// Length of the caller-owned scratch [`numerical_flux_rows`] borrows:
+/// both sides' physical fluxes (variable-major, stride [`ROW_CHUNK`]) and
+/// signal speeds.
+pub const FLUX_ROW_SCRATCH: usize = 2 * (MAX_VARS + 1) * ROW_CHUNK;
+
 /// Row-batched [`numerical_flux`] over at most [`ROW_CHUNK`] interfaces.
 /// `ul`, `ur` and `out` are variable-major slabs sharing stride `s`
-/// (variable `v` of lane `k` at `[v * s + k]`). Rusanov runs as stride-1
-/// elementwise loops over the row; HLL gathers each lane through the scalar
-/// path (its three-way upwind branch doesn't row-batch). Both paths are
-/// bitwise identical to calling [`numerical_flux`] once per lane.
+/// (variable `v` of lane `k` at `[v * s + k]`). `scratch` holds at least
+/// [`FLUX_ROW_SCRATCH`] values; the row writes every lane of it before
+/// reading it, so callers keep one slab and never clear it. Rusanov runs
+/// as stride-1 elementwise loops over pre-cut planes; HLL gathers each
+/// lane through the scalar path (its three-way upwind branch doesn't
+/// row-batch). Both paths are bitwise identical to calling
+/// [`numerical_flux`] once per lane.
 #[allow(clippy::too_many_arguments)]
 pub fn numerical_flux_rows<P: Physics>(
     phys: &P,
@@ -78,24 +86,30 @@ pub fn numerical_flux_rows<P: Physics>(
     out: &mut [f64],
     s: usize,
     lanes: usize,
+    scratch: &mut [f64],
 ) {
     debug_assert!(lanes <= ROW_CHUNK);
     let n = phys.nvar();
     match riemann {
         Riemann::Rusanov => {
-            let mut fl = [0.0; MAX_VARS * ROW_CHUNK];
-            let mut fr = [0.0; MAX_VARS * ROW_CHUNK];
-            let mut sl = [0.0; ROW_CHUNK];
-            let mut sr = [0.0; ROW_CHUNK];
-            phys.flux_speed_rows(ul, s, dir, &mut fl, ROW_CHUNK, &mut sl, lanes);
-            phys.flux_speed_rows(ur, s, dir, &mut fr, ROW_CHUNK, &mut sr, lanes);
+            let (fl, rest) = scratch.split_at_mut(MAX_VARS * ROW_CHUNK);
+            let (fr, rest) = rest.split_at_mut(MAX_VARS * ROW_CHUNK);
+            let (sl, sr) = rest.split_at_mut(ROW_CHUNK);
+            phys.flux_speed_rows(ul, s, dir, fl, ROW_CHUNK, sl, lanes);
+            phys.flux_speed_rows(ur, s, dir, fr, ROW_CHUNK, sr, lanes);
+            // the interface speed, once per lane
+            let (a, sr) = (&mut sl[..lanes], &sr[..lanes]);
+            for k in 0..lanes {
+                a[k] = a[k].max(sr[k]);
+            }
             for v in 0..n {
-                let flv = &fl[v * ROW_CHUNK..v * ROW_CHUNK + lanes];
-                let frv = &fr[v * ROW_CHUNK..v * ROW_CHUNK + lanes];
+                let flv = &fl[v * ROW_CHUNK..][..lanes];
+                let frv = &fr[v * ROW_CHUNK..][..lanes];
+                let ulv = &ul[v * s..][..lanes];
+                let urv = &ur[v * s..][..lanes];
+                let ov = &mut out[v * s..][..lanes];
                 for k in 0..lanes {
-                    let a = sl[k].max(sr[k]);
-                    out[v * s + k] =
-                        0.5 * (flv[k] + frv[k]) - 0.5 * a * (ur[v * s + k] - ul[v * s + k]);
+                    ov[k] = 0.5 * (flv[k] + frv[k]) - 0.5 * a[k] * (urv[k] - ulv[k]);
                 }
             }
         }
