@@ -12,8 +12,9 @@ use ablock_core::balance::refine_ball_to_level;
 use ablock_core::ghost::{GhostConfig, GhostExchange};
 use ablock_core::grid::{BlockGrid, GridParams, Transfer};
 use ablock_core::layout::{Boundary, RootLayout};
+use ablock_core::sfc::Curve;
 use ablock_io::Table;
-use ablock_par::{comm_stats, imbalance, model_step, CostParams, Policy};
+use ablock_par::{comm_stats, imbalance, model_step, CostParams, Partitioner};
 
 fn main() {
     // an AMR'd 3-D grid: refined shell inside a coarse background
@@ -35,13 +36,13 @@ fn main() {
             &format!("ABL-3: partition policies at P = {nranks}"),
             &["policy", "imbalance", "remote frac", "remote msgs", "T_step(ms)", "efficiency"],
         );
-        for policy in [
-            Policy::SfcHilbert,
-            Policy::SfcMorton,
-            Policy::Greedy,
-            Policy::RoundRobin,
+        for (label, part) in [
+            ("SfcHilbert", Partitioner::sfc(Curve::Hilbert)),
+            ("SfcMorton", Partitioner::sfc(Curve::Morton)),
+            ("Greedy", Partitioner::greedy()),
+            ("RoundRobin", Partitioner::round_robin()),
         ] {
-            let owner: HashMap<_, _> = policy.partitioner().partition_grid(&g, nranks);
+            let owner: HashMap<_, _> = part.partition_grid(&g, nranks);
             let ids = g.block_ids();
             let weights = vec![1.0f64; ids.len()];
             let assign: Vec<usize> = ids.iter().map(|id| owner[id]).collect();
@@ -49,7 +50,7 @@ fn main() {
             let cs = comm_stats(&g, &plan, &owner);
             let cost = model_step(&g, &plan, &owner, nranks, &params);
             t.row(&[
-                format!("{policy:?}"),
+                label.to_string(),
                 format!("{im:.3}"),
                 format!("{:.3}", cs.remote_fraction()),
                 cs.remote_msgs.to_string(),

@@ -15,17 +15,17 @@
 //!    it is executed twice and the two JSON serializations are asserted
 //!    byte-identical before anything is written.
 //!
-//! 3. **Distributed 4-rank A/B** (real clock, in-process machine): the
-//!    same AMR topology stepped by [`DistSim`] with `comm_overlap` on and
-//!    off, comparing the aggregated exchange (`comm.agg.*`) against the
-//!    legacy per-task exchange (`comm.halo.messages`). The run asserts
-//!    the aggregation invariant — one message per active rank pair per
-//!    phase — and a >= 25% reduction in halo message count.
+//! 3. **Distributed 4-rank run** (real clock, in-process machine): an
+//!    AMR topology stepped by [`DistSim`] through the aggregated ghost
+//!    exchange (`comm.agg.*`). The run asserts the aggregation invariant
+//!    — one message per active rank pair per phase
+//!    (`comm.agg.messages == comm.agg.pair_msgs_expected`) — and, since
+//!    each packed segment is exactly one message of a one-message-per-task
+//!    exchange, a >= 25% cut in messages against segments
+//!    (`4·messages <= 3·segments`); every value sent must arrive as a
+//!    halo value (Σ`comm.agg.values` == Σ`dist.halo_values_recv`).
 //!
-//! `--quick` shrinks step counts for CI. `--no-overlap` runs the
-//! shared-memory section with `comm_overlap` disabled and writes
-//! `BENCH_phase_no_overlap.json` instead of `BENCH_phase.json`, so CI
-//! can archive both variants side by side.
+//! `--quick` shrinks step counts for CI.
 
 use std::collections::HashMap;
 
@@ -49,12 +49,11 @@ const PHASES: [&str; 5] =
 
 /// Shared-memory run: AMR driver (serial stepper + adapt spans) and the
 /// pool-parallel stepper share one real-clock registry.
-fn shared_memory_run(steps: usize, overlap: bool) -> MetricsSnapshot {
+fn shared_memory_run(steps: usize) -> MetricsSnapshot {
     let metrics = Metrics::recording();
     let e = Euler::<2>::new(1.4);
     let solver = SolverConfig::new(e.clone(), Scheme::muscl_rusanov())
         .with_cfl(0.3)
-        .with_comm_overlap(overlap)
         .with_metrics(metrics.clone());
 
     let make_grid = || {
@@ -149,14 +148,13 @@ fn rebalance_model_run(vranks: usize, total_blocks: usize) -> (MetricsSnapshot, 
 /// Distributed 4-rank run over the in-process machine; returns the
 /// per-rank snapshots. A mid-domain refinement keeps prolongation
 /// (phase-2) traffic in the exchange.
-fn dist_run(steps: usize, overlap: bool) -> Vec<MetricsSnapshot> {
+fn dist_run(steps: usize) -> Vec<MetricsSnapshot> {
     const NRANKS: usize = 4;
     Machine::run(NRANKS, move |comm| {
         let metrics = Metrics::recording();
         let e = Euler::<2>::new(1.4);
-        let solver = SolverConfig::new(e.clone(), Scheme::muscl_rusanov())
-            .with_comm_overlap(overlap)
-            .with_metrics(metrics.clone());
+        let solver =
+            SolverConfig::new(e.clone(), Scheme::muscl_rusanov()).with_metrics(metrics.clone());
         let mut grid = BlockGrid::new(
             RootLayout::unit([2, 2], Boundary::Periodic),
             GridParams::new([4, 4], 2, 4, 2),
@@ -188,10 +186,9 @@ fn sum_counter(snaps: &[MetricsSnapshot], key: &str) -> u64 {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let no_overlap = std::env::args().any(|a| a == "--no-overlap");
     let (sm_steps, cm_steps, dist_steps) = if quick { (4, 8, 2) } else { (12, 64, 6) };
 
-    let shared = shared_memory_run(sm_steps, !no_overlap);
+    let shared = shared_memory_run(sm_steps);
 
     let (model, model_json) = cost_model_run(cm_steps);
     let (_, model_json2) = cost_model_run(cm_steps);
@@ -246,46 +243,37 @@ fn main() {
         "incremental plan must not reshuffle the grid: {migrated} of {nblocks}"
     );
 
-    // ---- distributed A/B: aggregated+overlapped vs legacy per-task ----
-    let on = dist_run(dist_steps, true);
-    let off = dist_run(dist_steps, false);
-    let agg_msgs = sum_counter(&on, "comm.agg.messages");
-    let expected = sum_counter(&on, "comm.agg.pair_msgs_expected");
-    let halo_msgs = sum_counter(&off, "comm.halo.messages");
+    // ---- distributed: aggregated exchange --------------------------
+    let dist = dist_run(dist_steps);
+    let agg_msgs = sum_counter(&dist, "comm.agg.messages");
+    let expected = sum_counter(&dist, "comm.agg.pair_msgs_expected");
+    let segments = sum_counter(&dist, "comm.agg.segments");
+    let values = sum_counter(&dist, "comm.agg.values");
     let exchanges = 2 * dist_steps as u64; // RK2: two ghost exchanges per step
     println!(
-        "\ndistributed 4-rank A/B over {dist_steps} steps ({exchanges} exchanges):\n  \
-         overlap on : {agg_msgs} aggregated messages ({} per exchange), \
-         {} segments, {} values\n  \
-         overlap off: {halo_msgs} per-task messages ({} per exchange)\n  \
-         message reduction: {:.1}%",
+        "\ndistributed 4-rank run over {dist_steps} steps ({exchanges} exchanges):\n  \
+         {agg_msgs} aggregated messages ({} per exchange), {segments} segments \
+         (one per message of a per-task exchange), {values} values\n  \
+         message reduction vs per-task: {:.1}%",
         agg_msgs / exchanges,
-        sum_counter(&on, "comm.agg.segments"),
-        sum_counter(&on, "comm.agg.values"),
-        halo_msgs / exchanges,
-        100.0 * (1.0 - agg_msgs as f64 / halo_msgs as f64),
+        100.0 * (1.0 - agg_msgs as f64 / segments as f64),
     );
     assert_eq!(
         agg_msgs, expected,
         "aggregated run must issue exactly one message per active rank pair per phase"
     );
-    assert_eq!(
-        sum_counter(&on, "comm.halo.messages"),
-        0,
-        "overlap run must not touch the legacy per-task path"
-    );
     assert!(
-        4 * agg_msgs <= 3 * halo_msgs,
-        "aggregation must cut halo messages by >= 25%: {agg_msgs} vs {halo_msgs}"
+        4 * agg_msgs <= 3 * segments,
+        "aggregation must cut messages by >= 25% against one per task: \
+         {agg_msgs} messages for {segments} segments"
     );
     assert_eq!(
-        sum_counter(&on, "dist.halo_values_recv"),
-        sum_counter(&off, "dist.halo_values_recv"),
-        "both paths must deliver identical halo payload volumes"
+        values,
+        sum_counter(&dist, "dist.halo_values_recv"),
+        "every value sent must be received as a halo value"
     );
 
-    let out_name =
-        if no_overlap { "BENCH_phase_no_overlap.json" } else { "BENCH_phase.json" };
+    let out_name = "BENCH_phase.json";
     let mut out = Vec::new();
     out.extend_from_slice(b"{\n\"shared_memory\": ");
     write_metrics_json(&mut out, &shared).expect("vec write");
@@ -300,7 +288,7 @@ fn main() {
         out.pop();
     }
     out.extend_from_slice(b",\n\"dist_4rank_rank0\": ");
-    write_metrics_json(&mut out, &on[0]).expect("vec write");
+    write_metrics_json(&mut out, &dist[0]).expect("vec write");
     while out.last() == Some(&b'\n') {
         out.pop();
     }

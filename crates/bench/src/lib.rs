@@ -3,8 +3,8 @@
 //! One target per figure and table of the SC'97 *Adaptive Blocks* paper,
 //! plus the ablations DESIGN.md calls out. Binaries print the same
 //! rows/series the paper reports (`cargo run --release -p ablock-bench
-//! --bin <name>`); Criterion benches cover the hot kernels
-//! (`cargo bench -p ablock-bench`).
+//! --bin <name>`); benches on the in-repo `ablock_testkit::Bench` timer
+//! cover the hot kernels (`cargo bench -p ablock-bench`).
 //!
 //! | target | regenerates |
 //! |--------|-------------|
@@ -19,7 +19,7 @@
 //! | `abl_load_balance` | partition policy comparison |
 //! | `abl_cascade` | cascade extent vs the k-level jump knob |
 //! | `abl_ghost_depth` | ghost depth ↔ spatial order interplay |
-//! | bench `fig5_time_per_cell` | criterion version of the Fig. 5 kernel sweep |
+//! | bench `fig5_time_per_cell` | quick timer version of the Fig. 5 kernel sweep |
 //! | bench `abl_neighbor_lookup` | pointer lookup vs tree traversal (ABL-1) |
 //! | bench `ghost_and_adapt` | exchange build/fill and adapt costs |
 

@@ -1,18 +1,17 @@
-//! Load-balance policies and quality metrics.
+//! Load-balance quality metrics.
 //!
 //! The paper: "Whenever refinement or coarsening occurs, load re-balancing
 //! should be performed to insure high performance", and warns that few
 //! blocks per processor make imbalance expensive.
 //!
 //! The partitioning machinery itself lives in [`ablock_core::partition`]:
-//! a [`Partitioner`] pairs a curve with a
-//! [`PartitionStrategy`](ablock_core::partition::PartitionStrategy)
+//! a [`Partitioner`](ablock_core::partition::Partitioner) pairs a curve
+//! with a [`PartitionStrategy`](ablock_core::partition::PartitionStrategy)
 //! (SFC cut points, round-robin, greedy) and produces either a
 //! from-scratch owner map or an incremental
 //! [`RebalancePlan`](ablock_core::partition::RebalancePlan). This module
-//! keeps the thin [`Policy`] enum as a named shorthand for the strategies
-//! the experiments compare (ABL-3), plus the [`imbalance`] and
-//! [`comm_stats`] quality metrics:
+//! holds the [`imbalance`] and [`comm_stats`] quality metrics the
+//! experiments compare the strategies by (ABL-3):
 //!
 //! * **SFC (Morton or Hilbert)** — sort blocks along a space-filling curve
 //!   and cut the walk into `P` contiguous chunks of equal weight. Good
@@ -27,39 +26,6 @@ use std::collections::HashMap;
 use ablock_core::arena::BlockId;
 use ablock_core::ghost::{GhostExchange, GhostTask};
 use ablock_core::grid::BlockGrid;
-use ablock_core::partition::Partitioner;
-use ablock_core::sfc::Curve;
-
-/// Named partitioning policies — thin constructors over [`Partitioner`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Policy {
-    /// Morton-order chunks.
-    SfcMorton,
-    /// Hilbert-order chunks.
-    SfcHilbert,
-    /// Cyclic dealing in curve order.
-    RoundRobin,
-    /// Heaviest block to least-loaded rank.
-    Greedy,
-}
-
-impl Policy {
-    /// The [`Partitioner`] this policy names.
-    pub fn partitioner(self) -> Partitioner {
-        match self {
-            Policy::SfcMorton => Partitioner::sfc(Curve::Morton),
-            Policy::SfcHilbert => Partitioner::sfc(Curve::Hilbert),
-            Policy::RoundRobin => Partitioner::round_robin(),
-            Policy::Greedy => Partitioner::greedy(),
-        }
-    }
-}
-
-impl From<Policy> for Partitioner {
-    fn from(p: Policy) -> Partitioner {
-        p.partitioner()
-    }
-}
 
 /// Load-balance quality: `max_rank(load) / mean(load)` (1.0 is perfect).
 pub fn imbalance(weights: &[f64], assignment: &[usize], nranks: usize) -> f64 {
@@ -134,27 +100,34 @@ mod tests {
     use ablock_core::grid::{GridParams, Transfer};
     use ablock_core::key::BlockKey;
     use ablock_core::layout::{Boundary, RootLayout};
-    use ablock_core::sfc::{curve_index, required_bits};
+    use ablock_core::partition::Partitioner;
+    use ablock_core::sfc::{curve_index, required_bits, Curve};
 
     fn keys_grid(n: i64) -> Vec<BlockKey<2>> {
         (0..n).flat_map(|x| (0..n).map(move |y| BlockKey::new(0, [x, y]))).collect()
     }
 
-    const ALL: [Policy; 4] =
-        [Policy::SfcMorton, Policy::SfcHilbert, Policy::RoundRobin, Policy::Greedy];
+    fn all() -> [Partitioner; 4] {
+        [
+            Partitioner::sfc(Curve::Morton),
+            Partitioner::sfc(Curve::Hilbert),
+            Partitioner::round_robin(),
+            Partitioner::greedy(),
+        ]
+    }
 
     #[test]
     fn all_policies_cover_all_ranks() {
         let keys = keys_grid(8); // 64 blocks
         let w = vec![1.0; keys.len()];
-        for policy in ALL {
-            let a = policy.partitioner().assign_keys(&keys, &w, 8);
+        for part in all() {
+            let a = part.assign_keys(&keys, &w, 8);
             let mut seen = vec![0usize; 8];
             for &r in &a {
                 assert!(r < 8);
                 seen[r] += 1;
             }
-            assert!(seen.iter().all(|&c| c == 8), "{policy:?}: {seen:?}");
+            assert!(seen.iter().all(|&c| c == 8), "{part:?}: {seen:?}");
         }
     }
 
@@ -162,10 +135,10 @@ mod tests {
     fn uniform_weights_perfectly_balanced() {
         let keys = keys_grid(8);
         let w = vec![1.0; keys.len()];
-        for policy in ALL {
-            let a = policy.partitioner().assign_keys(&keys, &w, 16);
+        for part in all() {
+            let a = part.assign_keys(&keys, &w, 16);
             let im = imbalance(&w, &a, 16);
-            assert!((im - 1.0).abs() < 1e-12, "{policy:?}: {im}");
+            assert!((im - 1.0).abs() < 1e-12, "{part:?}: {im}");
         }
     }
 
@@ -174,8 +147,8 @@ mod tests {
         let keys = keys_grid(4);
         let mut w = vec![1.0; 16];
         w[0] = 8.0; // one heavy block
-        let greedy = Policy::Greedy.partitioner().assign_keys(&keys, &w, 4);
-        let rr = Policy::RoundRobin.partitioner().assign_keys(&keys, &w, 4);
+        let greedy = Partitioner::greedy().assign_keys(&keys, &w, 4);
+        let rr = Partitioner::round_robin().assign_keys(&keys, &w, 4);
         let ig = imbalance(&w, &greedy, 4);
         let ir = imbalance(&w, &rr, 4);
         assert!(ig <= ir, "greedy {ig} vs round-robin {ir}");
@@ -189,7 +162,7 @@ mod tests {
     fn sfc_cuts_are_contiguous_along_curve() {
         let keys = keys_grid(8);
         let w = vec![1.0; keys.len()];
-        let a = Policy::SfcHilbert.partitioner().assign_keys(&keys, &w, 4);
+        let a = Partitioner::sfc(Curve::Hilbert).assign_keys(&keys, &w, 4);
         // walking in curve order, the rank sequence must be nondecreasing
         let bits = required_bits(8, 0);
         let mut order: Vec<usize> = (0..keys.len()).collect();
@@ -214,8 +187,8 @@ mod tests {
             Transfer::None,
         );
         let plan = GhostExchange::build(&g, GhostConfig::default());
-        let sfc = Policy::SfcHilbert.partitioner().partition_grid(&g, 8);
-        let rr = Policy::RoundRobin.partitioner().partition_grid(&g, 8);
+        let sfc = Partitioner::sfc(Curve::Hilbert).partition_grid(&g, 8);
+        let rr = Partitioner::round_robin().partition_grid(&g, 8);
         let cs = comm_stats(&g, &plan, &sfc);
         let cr = comm_stats(&g, &plan, &rr);
         assert!(
@@ -236,7 +209,7 @@ mod tests {
             GridParams::new([4, 4], 2, 1, 1),
         );
         let plan = GhostExchange::build(&g, GhostConfig::default());
-        let owner = Policy::SfcMorton.partitioner().partition_grid(&g, 1);
+        let owner = Partitioner::sfc(Curve::Morton).partition_grid(&g, 1);
         let st = comm_stats(&g, &plan, &owner);
         assert_eq!(st.remote_values, 0);
         assert_eq!(st.remote_msgs, 0);
@@ -247,7 +220,7 @@ mod tests {
     fn more_ranks_than_blocks() {
         let keys = keys_grid(2); // 4 blocks
         let w = vec![1.0; 4];
-        let a = Policy::SfcMorton.partitioner().assign_keys(&keys, &w, 16);
+        let a = Partitioner::sfc(Curve::Morton).assign_keys(&keys, &w, 16);
         // all blocks assigned to valid (distinct-ish) ranks
         for &r in &a {
             assert!(r < 16);
@@ -257,12 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_match_strategies() {
-        assert_eq!(Policy::SfcMorton.partitioner().name(), "sfc");
-        assert_eq!(Policy::SfcHilbert.partitioner().curve(), Curve::Hilbert);
-        assert_eq!(Policy::RoundRobin.partitioner().name(), "round_robin");
-        assert_eq!(Policy::Greedy.partitioner().name(), "greedy");
-        assert!(Partitioner::from(Policy::SfcMorton).contiguous());
-        assert!(!Partitioner::from(Policy::Greedy).contiguous());
+    fn partitioner_names_match_strategies() {
+        assert_eq!(Partitioner::sfc(Curve::Morton).name(), "sfc");
+        assert_eq!(Partitioner::sfc(Curve::Hilbert).curve(), Curve::Hilbert);
+        assert_eq!(Partitioner::round_robin().name(), "round_robin");
+        assert_eq!(Partitioner::greedy().name(), "greedy");
+        assert!(Partitioner::sfc(Curve::Morton).contiguous());
+        assert!(!Partitioner::greedy().contiguous());
     }
 }

@@ -298,10 +298,11 @@ pub fn record_rebalance_phases<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::Policy;
     use ablock_core::ghost::GhostConfig;
     use ablock_core::grid::GridParams;
     use ablock_core::layout::{Boundary, RootLayout};
+    use ablock_core::partition::Partitioner;
+    use ablock_core::sfc::Curve;
 
     fn topo(roots: [i64; 3]) -> BlockGrid<3> {
         BlockGrid::new(
@@ -310,9 +311,9 @@ mod tests {
         )
     }
 
-    fn model(grid: &BlockGrid<3>, nranks: usize, policy: Policy) -> StepCost {
+    fn model(grid: &BlockGrid<3>, nranks: usize, part: Partitioner) -> StepCost {
         let plan = GhostExchange::build(grid, GhostConfig::default());
-        let owner = policy.partitioner().partition_grid(grid, nranks);
+        let owner = part.partition_grid(grid, nranks);
         let p = CostParams::t3d_like(2e-6, 16.0, 4.0, 8.0);
         model_step(grid, &plan, &owner, nranks, &p)
     }
@@ -320,7 +321,7 @@ mod tests {
     #[test]
     fn single_rank_has_no_comm() {
         let g = topo([2, 2, 2]);
-        let c = model(&g, 1, Policy::SfcHilbert);
+        let c = model(&g, 1, Partitioner::sfc(Curve::Hilbert));
         assert_eq!(c.comm_max, 0.0);
         assert_eq!(c.reduce, 0.0);
         assert!((c.efficiency() - 1.0).abs() < 1e-12);
@@ -334,7 +335,7 @@ mod tests {
         let g = topo([4, 4, 4]); // 64 blocks, fixed problem
         let e: Vec<f64> = [1, 2, 4, 8, 16, 32, 64]
             .iter()
-            .map(|&p| model(&g, p, Policy::SfcHilbert).efficiency())
+            .map(|&p| model(&g, p, Partitioner::sfc(Curve::Hilbert)).efficiency())
             .collect();
         for w in e.windows(2) {
             assert!(w[1] <= w[0] + 1e-12, "efficiency must not increase: {e:?}");
@@ -352,7 +353,7 @@ mod tests {
             .map(|&p| {
                 let side = (p as f64).cbrt().round() as i64 * 2;
                 let g = topo([side, side, side]);
-                model(&g, p, Policy::SfcHilbert).efficiency()
+                model(&g, p, Partitioner::sfc(Curve::Hilbert)).efficiency()
             })
             .collect();
         assert!(effs[0] > 0.999);
@@ -367,8 +368,8 @@ mod tests {
         // 4^3 blocks on 8 ranks: Hilbert chunks are 2x2x2 bricks (3 of 6
         // faces local); round-robin keeps only the z faces local.
         let g = topo([4, 4, 4]);
-        let sfc = model(&g, 8, Policy::SfcHilbert);
-        let rr = model(&g, 8, Policy::RoundRobin);
+        let sfc = model(&g, 8, Partitioner::sfc(Curve::Hilbert));
+        let rr = model(&g, 8, Partitioner::round_robin());
         let total = |c: &StepCost| c.ranks.iter().map(|r| r.values).sum::<f64>();
         assert!(
             total(&sfc) < total(&rr),
@@ -385,7 +386,7 @@ mod tests {
         // model on topo 4^3 scaled to 16^3 == model on real 16^3 blocks
         let g_small = topo([2, 2, 2]);
         let plan_s = GhostExchange::build(&g_small, GhostConfig::default());
-        let owner_s = Policy::SfcMorton.partitioner().partition_grid(&g_small, 4);
+        let owner_s = Partitioner::sfc(Curve::Morton).partition_grid(&g_small, 4);
         let ps = CostParams::t3d_like(2e-6, 16.0, 4.0, 8.0);
         let cs = model_step(&g_small, &plan_s, &owner_s, 4, &ps);
 
@@ -394,7 +395,7 @@ mod tests {
             GridParams::new([16, 16, 16], 2, 1, 2),
         );
         let plan_b = GhostExchange::build(&g_big, GhostConfig::default());
-        let owner_b = Policy::SfcMorton.partitioner().partition_grid(&g_big, 4);
+        let owner_b = Partitioner::sfc(Curve::Morton).partition_grid(&g_big, 4);
         let pb = CostParams::t3d_like(2e-6, 16.0, 16.0, 8.0);
         let cb = model_step(&g_big, &plan_b, &owner_b, 4, &pb);
 
@@ -410,7 +411,7 @@ mod tests {
     #[test]
     fn cached_model_matches_fresh_plan_and_reuses_it() {
         let g = topo([2, 2, 2]);
-        let owner = Policy::SfcHilbert.partitioner().partition_grid(&g, 4);
+        let owner = Partitioner::sfc(Curve::Hilbert).partition_grid(&g, 4);
         let p = CostParams::t3d_like(2e-6, 16.0, 4.0, 8.0);
         let plan = GhostExchange::build(&g, GhostConfig::default());
         let fresh = model_step(&g, &plan, &owner, 4, &p);
@@ -426,8 +427,8 @@ mod tests {
     #[test]
     fn reduce_term_grows_logarithmically() {
         let g = topo([4, 4, 4]);
-        let c64 = model(&g, 64, Policy::SfcHilbert);
-        let c2 = model(&g, 2, Policy::SfcHilbert);
+        let c64 = model(&g, 64, Partitioner::sfc(Curve::Hilbert));
+        let c2 = model(&g, 2, Partitioner::sfc(Curve::Hilbert));
         assert!((c64.reduce / c2.reduce - 6.0).abs() < 1e-9);
     }
 }

@@ -11,16 +11,16 @@
 //! rank builds the identical plan; a task whose source block lives on a
 //! peer is satisfied by receiving the task's source read-region into the
 //! local (otherwise unused) copy of that block, then running the task
-//! locally. The default path **aggregates**: all tasks between one pair
-//! of ranks within one phase travel as a single packed message (see
-//! [`AggregatedExchange`]), segments ordered by block keys so packing is
-//! replicated-deterministic, and the sweep is split so interior fluxes
-//! compute while the exchange is in flight (`SolverConfig::comm_overlap`,
-//! DESIGN.md §13). With the toggle off, the legacy one-message-per-task
-//! exchange runs: tags are global task indices, so matching is
-//! deterministic and deadlock-free (all sends precede all receives
-//! within a phase). Both paths are bitwise-identical to the serial
-//! stepper.
+//! locally. All tasks between one pair of ranks within one phase travel
+//! as a single packed message (see [`AggregatedExchange`]), segments
+//! ordered by block keys so packing is replicated-deterministic. One
+//! routine runs this protocol for every distributed fill (DESIGN.md §13):
+//! the global sweep computes interior fluxes while the phase-1 messages
+//! are in flight, [`DistSim::fill_ghosts`] refreshes ghosts with nothing
+//! in flight, and the subcycled per-level fills wrap it in the time
+//! interpolation of their prolongation sources. Every send precedes its
+//! matching receive on every rank, so no barrier is needed, and owned
+//! blocks stay bitwise-identical to the serial stepper.
 //!
 //! Adaptation is replicated the same way: refine/coarsen flags from owned
 //! blocks are allgathered as keys, every rank derives the identical
@@ -46,7 +46,7 @@ use std::sync::Arc;
 use ablock_core::arena::BlockId;
 use ablock_core::balance::{apply_adapt, plan_adapt, Flag};
 use ablock_core::ghost::{
-    extract_box, insert_box, task_source_box, AggregatedExchange, GhostExchange, GhostTask,
+    extract_box, insert_box, task_dst, task_source_box, AggregatedExchange, GhostExchange,
 };
 use ablock_core::grid::{BlockGrid, Transfer};
 use ablock_core::index::Face;
@@ -54,9 +54,9 @@ use ablock_core::key::BlockKey;
 use ablock_core::ops::ProlongOrder;
 use ablock_core::partition::{cell_weights, inherit_owner, CurveWalk, Partitioner};
 
-use ablock_obs::phase;
+use ablock_obs::{phase, Metrics};
 use ablock_solver::engine::{rk2_stage1_block, rk2_stage2_block, BcFn, SweepEngine, SweepSplit};
-use ablock_solver::kernel::{compute_rhs_block, compute_rhs_block_fluxes, max_rate_block};
+use ablock_solver::kernel::{compute_rhs_block_fluxes, max_rate_block};
 use ablock_solver::physics::Physics;
 use ablock_solver::recon::Recon;
 use ablock_solver::reflux::coarse_fine_fetch_list;
@@ -65,8 +65,6 @@ use ablock_solver::{SolverConfig, TimeStepMode};
 
 use crate::machine::Comm;
 
-/// Base tag for legacy halo traffic (leaves room for task indices).
-const TAG_HALO: u64 = 1 << 40;
 /// Tag for migration pair messages. One message per rank pair per
 /// rebalance; per-`(src, tag)` FIFO matching keeps successive rebalances
 /// ordered without a barrier.
@@ -115,8 +113,6 @@ pub struct DistSim<const D: usize, P: Physics> {
     /// Epoch-cached aggregations of the per-level subcycle plans,
     /// parallel to `sub.levels()`.
     sub_agg: Vec<AggregatedExchange<D>>,
-    /// Halo values received from peers (diagnostics).
-    pub halo_values_recv: u64,
 }
 
 impl<const D: usize, P: Physics> DistSim<D, P> {
@@ -145,7 +141,6 @@ impl<const D: usize, P: Physics> DistSim<D, P> {
             split: SweepSplit::default(),
             sub: SubcycleState::new(),
             sub_agg: Vec::new(),
-            halo_values_recv: 0,
         }
     }
 
@@ -190,62 +185,16 @@ impl<const D: usize, P: Physics> DistSim<D, P> {
         v
     }
 
-    /// Legacy distributed ghost fill, one message per remote task: remote
-    /// source regions are received from their owners; everything else
-    /// mirrors the serial plan. Selected by `comm_overlap = false`; kept
-    /// as the A/B baseline for the aggregated path.
-    pub fn halo_exchange(&mut self, comm: &Comm) {
-        self.engine.revalidate(&self.grid);
-        let me = comm.rank();
-        let plan = self.engine.plan();
-        let phase1_len = plan.phase1().len();
-
-        for (phase_idx, tasks) in [plan.phase1(), plan.phase2()].into_iter().enumerate() {
-            let base = if phase_idx == 0 { 0 } else { phase1_len };
-            // -------- sends --------
-            for (i, task) in tasks.iter().enumerate() {
-                if let Some((dst, src, bx)) = task_source_box(task) {
-                    if self.owner[&src] == me && self.owner[&dst] != me {
-                        let data = extract_box(self.grid.block(src).field(), bx);
-                        self.cfg.metrics.incr("comm.halo.messages", 1);
-                        comm.send(
-                            self.owner[&dst],
-                            TAG_HALO + (base + i) as u64,
-                            data,
-                        );
-                    }
-                }
-            }
-            // -------- receives + local application --------
-            for (i, task) in tasks.iter().enumerate() {
-                match task {
-                    GhostTask::Physical { dst, .. } | GhostTask::ClampCopy { dst, .. } => {
-                        if self.owner[dst] == me {
-                            run_one_task(&mut self.grid, task, plan);
-                        }
-                    }
-                    _ => {
-                        let (dst, src, bx) = task_source_box(task).expect("non-physical");
-                        if self.owner[&dst] != me {
-                            continue;
-                        }
-                        if self.owner[&src] != me {
-                            let data =
-                                comm.recv(self.owner[&src], TAG_HALO + (base + i) as u64);
-                            self.halo_values_recv += data.len() as u64;
-                            self.cfg.metrics.incr("dist.halo_values_recv", data.len() as u64);
-                            insert_box(self.grid.block_mut(src).field_mut(), bx, &data);
-                        }
-                        run_one_task(&mut self.grid, task, plan);
-                    }
-                }
-            }
-            // phase 2 sources include phase-1-filled ghost slabs, so the
-            // sends above must not run ahead of peers' phase 1
-            if phase_idx == 0 {
-                comm.barrier();
-            }
-        }
+    /// Refresh the ghost cells of every owned block with the aggregated
+    /// exchange, nothing in flight — for callers that read ghosts outside
+    /// a step (flagging, diagnostics). Collective: every rank calls it.
+    /// Owned blocks end bitwise-equal to a serial fill of the same grid.
+    pub fn fill_ghosts(&mut self, comm: &Comm) {
+        self.refresh_overlap_caches(comm.rank());
+        let _span = self.cfg.metrics.span(phase::GHOST_FILL);
+        let agg = self.agg.as_ref().expect("refreshed above");
+        let exchange = PairExchange::new(agg, &self.owner, comm, &self.cfg.metrics, TAG_AGG);
+        exchange.run(&mut self.grid, self.engine.plan());
     }
 
     /// Revalidate the plan and, when the topology epoch moved (or on
@@ -288,194 +237,29 @@ impl<const D: usize, P: Physics> DistSim<D, P> {
         }
     }
 
+    /// Ghost exchange plus RHS of every owned block, overlapped: interior
+    /// fluxes are computed between the phase-1 sends and receives, so the
+    /// exchange is in flight during the bulk of the sweep; halo fluxes
+    /// follow the join. Bitwise-identical to a serial fill plus a full
+    /// sweep: the per-task arithmetic is untouched and every ghost cell
+    /// is written exactly once per exchange, so only the execution order
+    /// across blocks changes.
     fn eval_rhs(&mut self, comm: &Comm) {
-        if self.cfg.comm_overlap {
-            self.eval_rhs_overlap(comm);
-            return;
-        }
-        self.halo_exchange(comm);
-        let ids = self.owned_ids(comm.rank());
-        let sw = self.engine.sweep();
-        for id in ids {
-            let node = self.grid.block(id);
-            let h = self
-                .grid
-                .layout()
-                .cell_size(node.key().level, self.grid.params().block_dims);
-            compute_rhs_block(
-                &self.cfg.physics,
-                self.cfg.scheme,
-                node.field(),
-                h,
-                &mut sw.rhs[id.index()],
-                sw.prim_scratch,
-            );
-        }
-    }
-
-    /// Flux one half of the interior/halo split.
-    fn sweep_ids(&mut self, ids: &[BlockId]) {
-        let sw = self.engine.sweep();
-        for &id in ids {
-            let node = self.grid.block(id);
-            let h = self
-                .grid
-                .layout()
-                .cell_size(node.key().level, self.grid.params().block_dims);
-            compute_rhs_block(
-                &self.cfg.physics,
-                self.cfg.scheme,
-                node.field(),
-                h,
-                &mut sw.rhs[id.index()],
-                sw.prim_scratch,
-            );
-        }
-    }
-
-    /// Aggregated exchange with comm/compute overlap (the default path;
-    /// DESIGN.md §13). Per phase, all traffic to one peer travels as a
-    /// single vectored message; interior fluxes are computed between the
-    /// eager phase-1 sends and the receives, so the exchange is in flight
-    /// during the bulk of the sweep. Every send precedes the matching
-    /// receive on every rank (phase-1 sends are the first comm op of an
-    /// exchange; phase-2 sends depend only on this rank's completed
-    /// phase 1), so the path needs no inter-phase barrier and cannot
-    /// deadlock. Bitwise-identical to [`DistSim::halo_exchange`] plus a
-    /// full sweep: the per-task arithmetic is untouched and every ghost
-    /// cell is written exactly once per exchange, so only the execution
-    /// order across blocks changes.
-    fn eval_rhs_overlap(&mut self, comm: &Comm) {
-        let me = comm.rank();
-        self.refresh_overlap_caches(me);
+        self.refresh_overlap_caches(comm.rank());
         let ghost_span = self.cfg.metrics.span(phase::GHOST_FILL);
-        // -------- eager phase-1 sends + purely local ghost work --------
-        {
-            let plan = self.engine.plan();
-            let agg = self.agg.as_ref().expect("refreshed above");
-            let expected = (0..2)
-                .map(|p| agg.phase(p).iter().filter(|m| m.from == me).count() as u64)
-                .sum::<u64>();
-            self.cfg.metrics.incr("comm.agg.pair_msgs_expected", expected);
-            {
-                let _p = self.cfg.metrics.span(phase::PACK);
-                for msg in agg.phase(0).iter().filter(|m| m.from == me) {
-                    let parts = msg.pack_parts(&self.grid);
-                    let slices: Vec<&[f64]> = parts.iter().map(Vec::as_slice).collect();
-                    self.cfg.metrics.incr("comm.agg.messages", 1);
-                    self.cfg.metrics.incr("comm.agg.values", msg.values as u64);
-                    self.cfg.metrics.incr("comm.agg.segments", msg.segments.len() as u64);
-                    comm.send_vectored(msg.to, TAG_AGG, &slices);
-                }
-            }
-            // Local phase 1: boundary tasks and local-source copies; the
-            // remote-source tasks wait for the unpack below.
-            for task in plan.phase1() {
-                match task {
-                    GhostTask::Physical { dst, .. } | GhostTask::ClampCopy { dst, .. } => {
-                        if self.owner[dst] == me {
-                            run_one_task(&mut self.grid, task, plan);
-                        }
-                    }
-                    _ => {
-                        let (dst, src, _) = task_source_box(task).expect("non-physical");
-                        if self.owner[&dst] == me && self.owner[&src] == me {
-                            run_one_task(&mut self.grid, task, plan);
-                        }
-                    }
-                }
-            }
-            // Phase 2 for interior destinations: by the split's one-hop
-            // closure their sources are local with locally completed
-            // phase-1 slabs, so these prolongations are final already.
-            for task in plan.phase2() {
-                if let Some((dst, src, _)) = task_source_box(task) {
-                    if self.owner[&dst] == me
-                        && self.owner[&src] == me
-                        && self.split.halo.binary_search(&dst).is_err()
-                    {
-                        run_one_task(&mut self.grid, task, plan);
-                    }
-                }
-            }
-        }
-        // -------- interior fluxes while the exchange is in flight --------
+        let agg = self.agg.as_ref().expect("refreshed above");
+        let exchange = PairExchange::new(agg, &self.owner, comm, &self.cfg.metrics, TAG_AGG);
+        let interior = &self.split.interior;
+        exchange.start(&mut self.grid, self.engine.plan(), interior);
         {
             let _o = self.cfg.metrics.span(phase::OVERLAP);
             let _f = self.cfg.metrics.span(phase::FLUX);
-            let interior = std::mem::take(&mut self.split.interior);
-            self.sweep_ids(&interior);
-            self.split.interior = interior;
+            sweep_blocks(&self.cfg, &mut self.engine, &self.grid, interior, false);
         }
-        // -------- join: drain the exchange, finish halo ghosts --------
-        {
-            let plan = self.engine.plan();
-            let agg = self.agg.as_ref().expect("refreshed above");
-            {
-                let _u = self.cfg.metrics.span(phase::UNPACK);
-                for msg in agg.phase(0).iter().filter(|m| m.to == me) {
-                    let parts = comm.recv_vectored(msg.from, TAG_AGG, &msg.lens());
-                    let n: u64 = parts.iter().map(|p| p.len() as u64).sum();
-                    self.halo_values_recv += n;
-                    self.cfg.metrics.incr("dist.halo_values_recv", n);
-                    msg.unpack(&mut self.grid, &parts);
-                }
-            }
-            for task in plan.phase1() {
-                if let Some((dst, src, _)) = task_source_box(task) {
-                    if self.owner[&dst] == me && self.owner[&src] != me {
-                        run_one_task(&mut self.grid, task, plan);
-                    }
-                }
-            }
-            // Phase-2 sends read this rank's now-complete phase-1 slabs.
-            {
-                let _p = self.cfg.metrics.span(phase::PACK);
-                for msg in agg.phase(1).iter().filter(|m| m.from == me) {
-                    let parts = msg.pack_parts(&self.grid);
-                    let slices: Vec<&[f64]> = parts.iter().map(Vec::as_slice).collect();
-                    self.cfg.metrics.incr("comm.agg.messages", 1);
-                    self.cfg.metrics.incr("comm.agg.values", msg.values as u64);
-                    self.cfg.metrics.incr("comm.agg.segments", msg.segments.len() as u64);
-                    comm.send_vectored(msg.to, TAG_AGG + 1, &slices);
-                }
-            }
-            for task in plan.phase2() {
-                if let Some((dst, src, _)) = task_source_box(task) {
-                    if self.owner[&dst] == me
-                        && self.owner[&src] == me
-                        && self.split.halo.binary_search(&dst).is_ok()
-                    {
-                        run_one_task(&mut self.grid, task, plan);
-                    }
-                }
-            }
-            {
-                let _u = self.cfg.metrics.span(phase::UNPACK);
-                for msg in agg.phase(1).iter().filter(|m| m.to == me) {
-                    let parts = comm.recv_vectored(msg.from, TAG_AGG + 1, &msg.lens());
-                    let n: u64 = parts.iter().map(|p| p.len() as u64).sum();
-                    self.halo_values_recv += n;
-                    self.cfg.metrics.incr("dist.halo_values_recv", n);
-                    msg.unpack(&mut self.grid, &parts);
-                }
-            }
-            for task in plan.phase2() {
-                if let Some((dst, src, _)) = task_source_box(task) {
-                    if self.owner[&dst] == me && self.owner[&src] != me {
-                        run_one_task(&mut self.grid, task, plan);
-                    }
-                }
-            }
-        }
+        exchange.finish(&mut self.grid, self.engine.plan(), interior);
         drop(ghost_span);
-        // -------- halo fluxes after the join --------
-        {
-            let _f = self.cfg.metrics.span(phase::FLUX);
-            let halo = std::mem::take(&mut self.split.halo);
-            self.sweep_ids(&halo);
-            self.split.halo = halo;
-        }
+        let _f = self.cfg.metrics.span(phase::FLUX);
+        sweep_blocks(&self.cfg, &mut self.engine, &self.grid, &self.split.halo, false);
     }
 
     /// One SSP-RK2 step of the owned blocks.
@@ -521,7 +305,6 @@ impl<const D: usize, P: Physics> DistSim<D, P> {
             engine: &mut self.engine,
             owner: &self.owner,
             sub_agg: &mut self.sub_agg,
-            halo_values_recv: &mut self.halo_values_recv,
             comm,
             me: comm.rank(),
         };
@@ -543,7 +326,6 @@ impl<const D: usize, P: Physics> DistSim<D, P> {
             engine: &mut self.engine,
             owner: &self.owner,
             sub_agg: &mut self.sub_agg,
-            halo_values_recv: &mut self.halo_values_recv,
             comm,
             me: comm.rank(),
         };
@@ -849,7 +631,6 @@ struct DistBackend<'a, const D: usize, P: Physics> {
     engine: &'a mut SweepEngine<D>,
     owner: &'a HashMap<BlockId, usize>,
     sub_agg: &'a mut Vec<AggregatedExchange<D>>,
-    halo_values_recv: &'a mut u64,
     comm: &'a Comm,
     me: usize,
 }
@@ -875,14 +656,12 @@ impl<const D: usize, P: Physics> SubcycleBackend<D> for DistBackend<'_, D, P> {
         self.owner[&id] == self.me
     }
 
-    /// Distributed per-level fill: the level's filtered plan travels as
-    /// aggregated pair messages (one per rank pair per phase, exactly
-    /// like the global path's exchange), wrapped in the time
-    /// interpolation of this rank's owned prolongation sources — owners
-    /// blend *before* packing, so mirrors receive owner-interpolated
-    /// data and are never restored. Every rank runs the identical driver
-    /// recursion, so fills are globally ordered and all sends precede
-    /// the matching receives: no barrier, no deadlock.
+    /// Distributed per-level fill: the global path's exchange protocol
+    /// over the level's filtered plan, with nothing in flight, wrapped in
+    /// the time interpolation of this rank's owned prolongation sources —
+    /// owners blend *before* packing, so mirrors receive
+    /// owner-interpolated data and are never restored. Every rank runs
+    /// the identical driver recursion, so fills are globally ordered.
     fn fill_level(
         &mut self,
         grid: &mut BlockGrid<D>,
@@ -903,85 +682,15 @@ impl<const D: usize, P: Physics> SubcycleBackend<D> for DistBackend<'_, D, P> {
                 self.sub_agg.push(state.plan(l).aggregate(grid, &|id| owner[&id]));
             }
         }
-        let metrics = self.cfg.metrics.clone();
-        let _span = metrics.span(phase::GHOST_FILL);
-        let me = self.me;
-        let comm = self.comm;
-        let owner = self.owner;
+        let _span = self.cfg.metrics.span(phase::GHOST_FILL);
         let agg = &self.sub_agg[li];
-        let hrecv: &mut u64 = self.halo_values_recv;
-        state.with_lerped_sources(grid, li, theta, |grid, plan| {
-            for (ph, tasks) in [plan.phase1(), plan.phase2()].into_iter().enumerate() {
-                let tag = TAG_SUB + ph as u64;
-                // sends first (replicated pair plan, unbounded channels);
-                // phase-2 sources read this rank's completed phase 1
-                for msg in agg.phase(ph).iter().filter(|m| m.from == me) {
-                    let parts = msg.pack_parts(grid);
-                    let slices: Vec<&[f64]> = parts.iter().map(Vec::as_slice).collect();
-                    metrics.incr("comm.agg.messages", 1);
-                    metrics.incr("comm.agg.values", msg.values as u64);
-                    metrics.incr("comm.agg.segments", msg.segments.len() as u64);
-                    comm.send_vectored(msg.to, tag, &slices);
-                }
-                // purely local tasks
-                for task in tasks {
-                    match task {
-                        GhostTask::Physical { dst, .. } | GhostTask::ClampCopy { dst, .. } => {
-                            if owner[dst] == me {
-                                run_one_task(grid, task, plan);
-                            }
-                        }
-                        _ => {
-                            let (dst, src, _) = task_source_box(task).expect("non-physical");
-                            if owner[&dst] == me && owner[&src] == me {
-                                run_one_task(grid, task, plan);
-                            }
-                        }
-                    }
-                }
-                // drain the phase's traffic into local mirrors
-                for msg in agg.phase(ph).iter().filter(|m| m.to == me) {
-                    let parts = comm.recv_vectored(msg.from, tag, &msg.lens());
-                    let n: u64 = parts.iter().map(|p| p.len() as u64).sum();
-                    *hrecv += n;
-                    metrics.incr("dist.halo_values_recv", n);
-                    msg.unpack(grid, &parts);
-                }
-                // remote-source tasks now have fresh mirrors
-                for task in tasks {
-                    if let Some((dst, src, _)) = task_source_box(task) {
-                        if owner[&dst] == me && owner[&src] != me {
-                            run_one_task(grid, task, plan);
-                        }
-                    }
-                }
-            }
-        });
+        let exchange = PairExchange::new(agg, self.owner, self.comm, &self.cfg.metrics, TAG_SUB);
+        state.with_lerped_sources(grid, li, theta, |grid, plan| exchange.run(grid, plan));
     }
 
     fn sweep_level(&mut self, grid: &BlockGrid<D>, ids: &[BlockId]) {
         let _span = self.cfg.metrics.span(phase::FLUX);
-        let sw = self.engine.sweep();
-        for &id in ids {
-            let node = grid.block(id);
-            let h = grid
-                .layout()
-                .cell_size(node.key().level, grid.params().block_dims);
-            let store = if self.cfg.refluxing {
-                Some(&mut sw.flux_stores[id.index()])
-            } else {
-                None
-            };
-            compute_rhs_block_fluxes(
-                &self.cfg.physics,
-                self.cfg.scheme,
-                node.field(),
-                h,
-                &mut sw.rhs[id.index()],
-                sw.prim_scratch,
-                store,
-            );
-        }
+        sweep_blocks(self.cfg, self.engine, grid, ids, self.cfg.refluxing);
     }
 
     fn level_rates(&mut self, grid: &BlockGrid<D>, state: &SubcycleState<D>) -> Vec<f64> {
@@ -1058,14 +767,154 @@ impl<const D: usize, P: Physics> SubcycleBackend<D> for DistBackend<'_, D, P> {
     }
 }
 
-/// Execute one ghost task against the grid (serial path re-used by the
-/// distributed exchange once remote data has landed).
-fn run_one_task<const D: usize>(
-    grid: &mut BlockGrid<D>,
-    task: &GhostTask<D>,
-    plan: &GhostExchange<D>,
+/// Flux `ids` into the engine's RHS scratch, recording block-face fluxes
+/// for refluxing when `stores` is set.
+fn sweep_blocks<const D: usize, P: Physics>(
+    cfg: &SolverConfig<P>,
+    engine: &mut SweepEngine<D>,
+    grid: &BlockGrid<D>,
+    ids: &[BlockId],
+    stores: bool,
 ) {
-    plan.run_single(grid, task);
+    let sw = engine.sweep();
+    for &id in ids {
+        let node = grid.block(id);
+        let h = grid
+            .layout()
+            .cell_size(node.key().level, grid.params().block_dims);
+        let store = if stores {
+            Some(&mut sw.flux_stores[id.index()])
+        } else {
+            None
+        };
+        compute_rhs_block_fluxes(
+            &cfg.physics,
+            cfg.scheme,
+            node.field(),
+            h,
+            &mut sw.rhs[id.index()],
+            sw.prim_scratch,
+            store,
+        );
+    }
+}
+
+/// The aggregated ghost-exchange protocol, the only one a distributed
+/// fill runs (DESIGN.md §13). For phase 1 and then phase 2, this rank
+/// (1) packs and sends its pair messages, (2) runs the tasks writing an
+/// owned block from a local source (or from none: boundary synthesis),
+/// (3) receives and unpacks its pair messages into the mirror copies of
+/// the remote sources, and (4) runs the tasks whose source is remote.
+/// Phase-2 sends read this rank's completed phase 1, so every send
+/// precedes the matching receive on every rank: no barrier, no deadlock.
+///
+/// [`PairExchange::start`] stops after phase-1 step 2 so the caller can
+/// compute while the phase-1 messages are in flight;
+/// [`PairExchange::finish`] completes the exchange.
+struct PairExchange<'a, const D: usize> {
+    agg: &'a AggregatedExchange<D>,
+    owner: &'a HashMap<BlockId, usize>,
+    comm: &'a Comm,
+    metrics: &'a Metrics,
+    /// Phase `p` travels on tag `tag + p`.
+    tag: u64,
+}
+
+impl<'a, const D: usize> PairExchange<'a, D> {
+    fn new(
+        agg: &'a AggregatedExchange<D>,
+        owner: &'a HashMap<BlockId, usize>,
+        comm: &'a Comm,
+        metrics: &'a Metrics,
+        tag: u64,
+    ) -> Self {
+        PairExchange { agg, owner, comm, metrics, tag }
+    }
+
+    /// Phase-1 steps 1–2, then step 2 of phase 2 for the sorted `early`
+    /// destinations. An early destination must have no remote source,
+    /// directly or one hop through a phase-2 source's phase-1 slab (the
+    /// interior of [`SweepEngine::split_remote`]), so its prolongations
+    /// are final already.
+    fn start(&self, grid: &mut BlockGrid<D>, plan: &GhostExchange<D>, early: &[BlockId]) {
+        let me = self.comm.rank();
+        let expected = (0..2)
+            .map(|p| self.agg.phase(p).iter().filter(|m| m.from == me).count() as u64)
+            .sum::<u64>();
+        self.metrics.incr("comm.agg.pair_msgs_expected", expected);
+        self.send(grid, 0);
+        self.run_tasks(grid, plan, 0, false, |_| true);
+        self.run_tasks(grid, plan, 1, false, |dst| early.binary_search(&dst).is_ok());
+    }
+
+    /// Phase-1 steps 3–4, then phase 2 for every destination not in
+    /// `early` (the same slice [`PairExchange::start`] got).
+    fn finish(&self, grid: &mut BlockGrid<D>, plan: &GhostExchange<D>, early: &[BlockId]) {
+        self.recv(grid, 0);
+        self.run_tasks(grid, plan, 0, true, |_| true);
+        self.send(grid, 1);
+        self.run_tasks(grid, plan, 1, false, |dst| early.binary_search(&dst).is_err());
+        self.recv(grid, 1);
+        self.run_tasks(grid, plan, 1, true, |_| true);
+    }
+
+    /// The whole exchange with nothing in flight: every phase-2
+    /// destination waits for the phase-1 receives.
+    fn run(&self, grid: &mut BlockGrid<D>, plan: &GhostExchange<D>) {
+        self.start(grid, plan, &[]);
+        self.finish(grid, plan, &[]);
+    }
+
+    /// Step 1 of phase `p`.
+    fn send(&self, grid: &BlockGrid<D>, p: usize) {
+        let me = self.comm.rank();
+        let _span = self.metrics.span(phase::PACK);
+        for msg in self.agg.phase(p).iter().filter(|m| m.from == me) {
+            let parts = msg.pack_parts(grid);
+            let slices: Vec<&[f64]> = parts.iter().map(Vec::as_slice).collect();
+            self.metrics.incr("comm.agg.messages", 1);
+            self.metrics.incr("comm.agg.values", msg.values as u64);
+            self.metrics.incr("comm.agg.segments", msg.segments.len() as u64);
+            self.comm.send_vectored(msg.to, self.tag + p as u64, &slices);
+        }
+    }
+
+    /// Step 3 of phase `p`.
+    fn recv(&self, grid: &mut BlockGrid<D>, p: usize) {
+        let me = self.comm.rank();
+        let _span = self.metrics.span(phase::UNPACK);
+        for msg in self.agg.phase(p).iter().filter(|m| m.to == me) {
+            let parts = self.comm.recv_vectored(msg.from, self.tag + p as u64, &msg.lens());
+            let n: u64 = parts.iter().map(|p| p.len() as u64).sum();
+            self.metrics.incr("dist.halo_values_recv", n);
+            msg.unpack(grid, &parts);
+        }
+    }
+
+    /// Step 2 (`remote == false`) or step 4 (`remote == true`) of phase
+    /// `p`, in plan order, for the owned destinations `pick` accepts.
+    fn run_tasks(
+        &self,
+        grid: &mut BlockGrid<D>,
+        plan: &GhostExchange<D>,
+        p: usize,
+        remote: bool,
+        pick: impl Fn(BlockId) -> bool,
+    ) {
+        let me = self.comm.rank();
+        let tasks = if p == 0 { plan.phase1() } else { plan.phase2() };
+        for task in tasks {
+            let dst = task_dst(task);
+            if !pick(dst) || self.owner[&dst] != me {
+                continue;
+            }
+            let src_remote =
+                task_source_box(task).is_some_and(|(_, src, _)| self.owner[&src] != me);
+            if src_remote == remote {
+                plan.run_single(grid, task);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! * [`dist`] — distributed AMR stepping: replicated block topology,
 //!   owner-held field data, halo exchange over the machine, replicated
 //!   adapt with data migration;
-//! * [`balance`] — named [`Policy`] shorthands over the pluggable
-//!   [`Partitioner`] API (SFC cut points, round-robin, greedy) plus
-//!   imbalance and communication metrics;
+//! * [`balance`] — imbalance and communication metrics for assignments
+//!   made by the pluggable [`Partitioner`] API (SFC cut points,
+//!   round-robin, greedy);
 //! * [`shared`] — a shared-memory executor on scoped threads
 //!   (gather/scatter ghost fill, parallel block kernels via [`pool`]);
 //! * [`costmodel`] — a BSP step-cost model with T3D-like parameters that
@@ -35,7 +35,7 @@ pub use ablock_core::partition::{
     cell_weights, inherit_owner, BlockMove, CurveWalk, PartitionStrategy, Partitioner,
     RebalancePlan,
 };
-pub use balance::{comm_stats, imbalance, CommStats, Policy};
+pub use balance::{comm_stats, imbalance, CommStats};
 pub use costmodel::{
     model_step, model_step_cached, record_adapt_phases, record_rebalance_phases,
     record_step_phases, CostParams, RankCost, StepCost,
@@ -47,4 +47,4 @@ pub use recover::{
     run_resilient, run_resilient_with, RecoverConfig, RecoverError, RecoverOutcome,
     RecoveryReport, SnapshotTotals,
 };
-pub use shared::{par_fill_ghosts, par_fill_ghosts_with, ParStepper};
+pub use shared::{par_fill_ghosts_with, ParStepper};

@@ -6,7 +6,11 @@
 //! parallelization unit — RHS kernels per block are embarrassingly
 //! parallel, and ghost exchange becomes a two-phase **gather/scatter**
 //! (gather reads only sources, scatter writes only destinations), each
-//! phase running over the [`crate::pool`] helpers with no locks.
+//! phase running over the [`crate::pool`] helpers with no locks. A global
+//! step overlaps the two: once phase 1 is scattered, a background thread
+//! scatters the phase-2 prolongations into the halo blocks (their
+//! destinations) while the calling thread sweeps every other block
+//! (DESIGN.md §13).
 //!
 //! `ParStepper` reproduces `ablock_solver::Stepper`'s SSP-RK2 semantics
 //! exactly (the equivalence test below checks bitwise-level agreement);
@@ -136,16 +140,7 @@ fn gather_task<const D: usize>(
 
 /// Parallel ghost fill: each phase is gather (parallel over tasks, reads
 /// only) then scatter (parallel over destination blocks, writes only).
-pub fn par_fill_ghosts<const D: usize>(
-    grid: &mut BlockGrid<D>,
-    plan: &GhostExchange<D>,
-    config: &GhostConfig,
-) {
-    par_fill_ghosts_with(grid, plan, config, &Metrics::null());
-}
-
-/// [`par_fill_ghosts`] with a metrics sink: the write-side scatter phase
-/// (the inter-block data movement) is recorded under a
+/// The scatter (the inter-block data movement) is recorded under a
 /// [`phase::COMM`] span, nested inside whatever span the caller holds.
 pub fn par_fill_ghosts_with<const D: usize>(
     grid: &mut BlockGrid<D>,
@@ -158,9 +153,23 @@ pub fn par_fill_ghosts_with<const D: usize>(
     }
 }
 
+/// Gather one phase's ghost values (parallel over tasks, reads only) and
+/// group them by destination block.
+fn gather_phase<const D: usize>(
+    grid: &BlockGrid<D>,
+    tasks: &[GhostTask<D>],
+    order: ProlongOrder,
+) -> HashMap<BlockId, Vec<ReadyOp<D>>> {
+    let ready = pool::par_map(tasks, |t| gather_task(grid, t, order));
+    let mut by_dst: HashMap<_, Vec<_>> = HashMap::new();
+    for (dst, op) in ready.into_iter().flatten() {
+        by_dst.entry(dst).or_default().push(op);
+    }
+    by_dst
+}
+
 /// Gather + scatter one phase of a ghost plan (the loop body of
-/// [`par_fill_ghosts_with`], also used standalone by the comm/compute
-/// overlap path, which scatters phase 2 itself).
+/// [`par_fill_ghosts_with`]).
 fn fill_phase<const D: usize>(
     grid: &mut BlockGrid<D>,
     tasks: &[GhostTask<D>],
@@ -170,17 +179,7 @@ fn fill_phase<const D: usize>(
     let layout = grid.layout().clone();
     let m = grid.params().block_dims;
     let ng = grid.params().nghost;
-    // gather (immutable grid)
-    let ready: Vec<(BlockId, ReadyOp<D>)> =
-        pool::par_map(tasks, |t| gather_task(grid, t, config.prolong_order))
-            .into_iter()
-            .flatten()
-            .collect();
-    // group by destination
-    let mut by_dst: HashMap<BlockId, Vec<ReadyOp<D>>> = HashMap::new();
-    for (dst, op) in ready {
-        by_dst.entry(dst).or_default().push(op);
-    }
+    let by_dst = gather_phase(grid, tasks, config.prolong_order);
     let mut phys_by_dst: HashMap<BlockId, Vec<&GhostTask<D>>> = HashMap::new();
     for t in tasks {
         match t {
@@ -335,86 +334,30 @@ impl<const D: usize, P: Physics> ParStepper<D, P> {
         }
     }
 
-    /// Fill ghosts and evaluate the RHS of every block in parallel.
+    /// Fill ghosts and evaluate the RHS of every block in parallel, with
+    /// comm/compute overlap: phase 1 of the ghost fill completes as
+    /// usual, then the phase-2 (prolongation) scatter runs on a
+    /// background thread while the calling thread computes fluxes for
+    /// every interior block — those whose ghosts are final after phase 1.
+    /// Halo blocks (phase-2 destinations) are swept after the join.
+    /// Bitwise-identical to a full fill followed by a full sweep: the
+    /// gathered ghost values and the per-block flux arithmetic are
+    /// unchanged, only execution order across blocks differs, and the
+    /// background scatter writes only halo blocks' ghosted regions —
+    /// disjoint from every interior-block read.
     fn eval_rhs(&mut self, grid: &mut BlockGrid<D>) {
         grid.ensure_geometry(&self.cfg.geometry);
         self.engine.revalidate(grid);
         self.refresh_sweep_order(grid);
-        if self.cfg.comm_overlap {
-            self.eval_rhs_overlap(grid);
-            return;
-        }
-        {
-            let _span = self.cfg.metrics.span(phase::GHOST_FILL);
-            par_fill_ghosts_with(grid, self.engine.plan(), self.engine.config(), &self.cfg.metrics);
-        }
-        let metrics = self.cfg.metrics.clone();
-        let _span = metrics.span(phase::FLUX);
-        let m = grid.params().block_dims;
-        let layout = grid.layout().clone();
-        let phys = &self.cfg.physics;
-        let scheme = self.cfg.scheme;
-        let ids = grid.block_ids();
-        let pos = &self.sweep_pos;
-        let sw = self.engine.sweep();
-        let rhs_refs = indexed_refs(sw.rhs, &ids);
-        let mut work: Vec<_> = ids.iter().copied().zip(rhs_refs).collect();
-        // issue in SFC order: spatially adjacent blocks share ghost
-        // sources, so contiguous worker chunks reuse cache lines
-        work.sort_by_key(|(id, _)| pos.get(id).copied().unwrap_or(usize::MAX));
-        let body = |scratch: &mut Vec<f64>, (id, rhs_block): &mut (BlockId, &mut FieldBlock<D>)| {
-            let node = grid.block(*id);
-            let h = layout.cell_size(node.key().level, m);
-            compute_rhs_block(phys, scheme, node.field(), h, rhs_block, scratch);
-        };
-        if metrics.is_enabled() {
-            // timed path: per-worker busy histogram + busy/idle totals
-            let t0 = std::time::Instant::now();
-            let busy = pool::par_for_each_mut_init_timed(&mut work, Vec::new, body);
-            let wall = t0.elapsed().as_nanos() as u64;
-            let total_busy: u64 = busy.iter().sum();
-            for b in &busy {
-                metrics.observe("pool.worker_busy_ns", *b);
-            }
-            metrics.incr("pool.busy_ns", total_busy);
-            metrics
-                .incr("pool.idle_ns", (wall * busy.len() as u64).saturating_sub(total_busy));
-        } else {
-            pool::par_for_each_mut_init(&mut work, Vec::new, body);
-        }
-    }
-
-    /// Comm/compute-overlap RHS (`SolverConfig::comm_overlap`, the
-    /// default): phase 1 of the ghost fill completes as usual, then the
-    /// phase-2 (prolongation) scatter runs on a background thread while
-    /// the calling thread computes fluxes for every interior block —
-    /// those whose ghosts are final after phase 1. Halo blocks (phase-2
-    /// destinations) are swept after the join. Bitwise-identical to the
-    /// non-overlapped path: the gathered ghost values and the per-block
-    /// flux arithmetic are unchanged, only execution order across blocks
-    /// differs, and the background scatter writes only halo blocks'
-    /// ghosted regions — disjoint from every interior-block read.
-    fn eval_rhs_overlap(&mut self, grid: &mut BlockGrid<D>) {
         let metrics = self.cfg.metrics.clone();
         let ghost_span = metrics.span(phase::GHOST_FILL);
-        {
+        // phase 1 in full, then the phase-2 gather (reads only) and the
+        // interior/halo split
+        let (by_dst, split) = {
             let plan = self.engine.plan();
             let config = self.engine.config();
             fill_phase(grid, plan.phase1(), config, &metrics);
-        }
-        // phase-2 gather (reads only) and the interior/halo split
-        let (by_dst, split) = {
-            let plan = self.engine.plan();
-            let order = self.engine.config().prolong_order;
-            let ready: Vec<(BlockId, ReadyOp<D>)> =
-                pool::par_map(plan.phase2(), |t| gather_task(grid, t, order))
-                    .into_iter()
-                    .flatten()
-                    .collect();
-            let mut by_dst: HashMap<BlockId, Vec<ReadyOp<D>>> = HashMap::new();
-            for (dst, op) in ready {
-                by_dst.entry(dst).or_default().push(op);
-            }
+            let by_dst = gather_phase(grid, plan.phase2(), config.prolong_order);
             (by_dst, self.engine.split_phase2(&grid.block_ids()))
         };
         let m = grid.params().block_dims;
@@ -433,8 +376,9 @@ impl<const D: usize, P: Physics> ParStepper<D, P> {
                 interior.push((id, node, rhs));
             }
         }
-        // issue both sweeps in SFC order (same rationale as the
-        // non-overlapped path; pure permutation, bitwise-neutral)
+        // issue both sweeps in SFC order: spatially adjacent blocks share
+        // ghost sources, so contiguous worker chunks reuse cache lines
+        // (a pure permutation, bitwise-neutral)
         let pos = &self.sweep_pos;
         interior.sort_by_key(|(id, ..)| pos.get(id).copied().unwrap_or(usize::MAX));
         halo.sort_by_key(|(id, ..)| pos.get(id).copied().unwrap_or(usize::MAX));

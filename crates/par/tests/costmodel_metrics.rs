@@ -6,10 +6,11 @@ use std::collections::HashMap;
 
 use ablock_core::grid::{BlockGrid, GridParams};
 use ablock_core::layout::{Boundary, RootLayout};
+use ablock_core::sfc::Curve;
 use ablock_obs::{phase, Metrics};
 use ablock_par::{
     model_step_cached, record_adapt_phases, record_step_phases, CostParams,
-    Machine, Policy,
+    Machine, Partitioner,
 };
 use ablock_solver::euler::Euler;
 use ablock_solver::kernel::Scheme;
@@ -23,7 +24,7 @@ fn modeled_run(steps: usize) -> String {
         RootLayout::unit([4, 2, 2], Boundary::Periodic),
         GridParams::new([4, 4, 4], 2, 1, 1),
     );
-    let owner: HashMap<_, _> = Policy::SfcHilbert.partitioner().partition_grid(&grid, NRANKS);
+    let owner: HashMap<_, _> = Partitioner::sfc(Curve::Hilbert).partition_grid(&grid, NRANKS);
     let params = CostParams::t3d_like(2.0e-6, 16.0, 4.0, 8.0);
     let mut engine = SolverConfig::new(Euler::<3>::new(1.4), Scheme::muscl_rusanov())
         .with_metrics(metrics.clone())

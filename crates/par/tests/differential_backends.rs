@@ -17,10 +17,11 @@ use ablock_core::grid::{BlockGrid, GridParams, Transfer};
 use ablock_core::key::BlockKey;
 use ablock_core::layout::{Boundary, RootLayout};
 use ablock_core::ops::ProlongOrder;
+use ablock_core::sfc::Curve;
 use ablock_core::verify::check_grid;
 use ablock_io::{load_grid, save_grid};
 use ablock_par::{
-    run_resilient_with, DistSim, FaultPlan, Machine, MachineConfig, ParStepper, Policy,
+    run_resilient_with, DistSim, FaultPlan, Machine, MachineConfig, ParStepper, Partitioner,
     RecoverConfig,
 };
 use ablock_solver::{problems, Euler, Scheme, SolverConfig, Stepper};
@@ -28,12 +29,11 @@ use ablock_testkit::{cases, flag_for_key, gen_schedule, Schedule};
 
 const DT: f64 = 1e-3;
 const MAX_LEVEL: u8 = 2;
-const POLICY: Policy = Policy::SfcHilbert;
 const TRANSFER: Transfer = Transfer::Conservative(ProlongOrder::LinearMinmod);
 
 fn cfg() -> SolverConfig<Euler<2>> {
     SolverConfig::new(Euler::new(1.4), Scheme::muscl_rusanov())
-        .with_partitioner(POLICY.partitioner())
+        .with_partitioner(Partitioner::sfc(Curve::Hilbert))
 }
 
 fn base_grid() -> BlockGrid<2> {

@@ -1,14 +1,17 @@
 //! End-to-end distributed AMR: a blast tracked by a gradient criterion on
 //! the message-passing machine, with replicated adapts and SFC
-//! rebalancing mid-run, checked bit-for-bit against the serial driver.
+//! rebalancing mid-run, checked bit-for-bit against the serial driver;
+//! plus the distributed ghost fill on its own, ghost cells included.
 
 use std::collections::HashMap;
 
 use ablock_core::balance::{adapt, Flag};
+use ablock_core::ghost::GhostExchange;
 use ablock_core::grid::{BlockGrid, GridParams, Transfer};
 use ablock_core::key::BlockKey;
 use ablock_core::layout::{Boundary, RootLayout};
 use ablock_core::ops::ProlongOrder;
+use ablock_obs::Metrics;
 use ablock_par::{DistSim, Machine, Partitioner};
 use ablock_core::sfc::Curve;
 use ablock_solver::euler::Euler;
@@ -93,7 +96,7 @@ fn distributed_amr_blast_matches_serial() {
                     sim.step_rk2(&comm, DT);
                 }
                 // flags from owned blocks only (ghosts refreshed first)
-                sim.halo_exchange(&comm);
+                sim.fill_ghosts(&comm);
                 let me = comm.rank();
                 let all_flags = energy_flags(&sim.grid);
                 let my_flags: HashMap<_, _> = all_flags
@@ -158,7 +161,7 @@ fn distributed_amr_conserves_mass() {
                 let dt = sim.max_dt(&comm);
                 sim.step_rk2(&comm, dt);
             }
-            sim.halo_exchange(&comm);
+            sim.fill_ghosts(&comm);
             let me = comm.rank();
             let flags: HashMap<_, _> = energy_flags(&sim.grid)
                 .into_iter()
@@ -183,5 +186,91 @@ fn distributed_amr_conserves_mass() {
             (total - total0).abs() < 5e-4 * total0,
             "mass {total0} -> {total}"
         );
+    }
+}
+
+/// Two-level grid with reflecting walls: a refined patch gives the plan
+/// restrictions (phase 1) and prolongations (phase 2), the walls give it
+/// boundary synthesis. The wide pulse leaves no flat region, so limited
+/// prolongation slopes see every coarse ghost value they read.
+fn two_level(e: &Euler<2>) -> BlockGrid<2> {
+    let mut g = BlockGrid::new(
+        RootLayout::unit([4, 4], Boundary::Reflect),
+        GridParams::new([4, 4], 2, 4, 2),
+    );
+    problems::advected_gaussian(&mut g, e, [0.7, -0.4], [0.45, 0.55], 0.35);
+    for coords in [[1, 1], [1, 2], [2, 2]] {
+        let id = g.find(BlockKey::new(0, coords)).unwrap();
+        g.refine(id, Transfer::Conservative(ProlongOrder::LinearMinmod)).unwrap();
+    }
+    g
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `DistSim::fill_ghosts` leaves every owned block's whole field, ghost
+/// cells included, bitwise-equal to a serial `GhostExchange::fill` of the
+/// same grid. Round-robin ownership puts most faces across ranks, so
+/// phase-2 prolongations read coarse slabs restricted from remote fine
+/// blocks; the live message count must equal the plan's pair count.
+#[test]
+fn fill_ghosts_matches_serial_fill_bitwise() {
+    let e = Euler::<2>::new(1.4);
+    for corners in [false, true] {
+        let mut cfg = SolverConfig::new(e.clone(), Scheme::muscl_rusanov())
+            .with_partitioner(Partitioner::round_robin());
+        cfg.ghost.corners = corners;
+        let mut serial = two_level(&e);
+        GhostExchange::build(&serial, cfg.ghost.clone()).fill(&mut serial);
+        let serial_map: HashMap<BlockKey<2>, Vec<u64>> = serial
+            .blocks()
+            .map(|(_, n)| (n.key(), bits(n.field().as_slice())))
+            .collect();
+        for nranks in [2usize, 3] {
+            let results = Machine::run(nranks, |comm| {
+                let metrics = Metrics::recording();
+                let mut sim = DistSim::partitioned(
+                    two_level(&e),
+                    nranks,
+                    cfg.clone().with_metrics(metrics.clone()),
+                );
+                sim.fill_ghosts(&comm);
+                let pairs = GhostExchange::build(&sim.grid, cfg.ghost.clone())
+                    .aggregate(&sim.grid, &|id| sim.owner[&id])
+                    .num_messages();
+                let owned: Vec<(BlockKey<2>, Vec<u64>)> = sim
+                    .owned_ids(comm.rank())
+                    .into_iter()
+                    .map(|id| {
+                        let n = sim.grid.block(id);
+                        (n.key(), bits(n.field().as_slice()))
+                    })
+                    .collect();
+                (owned, metrics.snapshot().counter("comm.agg.messages"), pairs)
+            })
+            .unwrap();
+            let pairs = results[0].2;
+            assert!(pairs > 0, "P={nranks}: round-robin must put faces across ranks");
+            let msgs: u64 = results.iter().map(|r| r.1).sum();
+            assert_eq!(msgs, pairs as u64, "P={nranks} corners={corners}: messages vs pairs");
+            let mut checked = 0;
+            for (owned, ..) in results {
+                for (key, got) in owned {
+                    let want = &serial_map[&key];
+                    if let Some(i) = got.iter().zip(want).position(|(a, b)| a != b) {
+                        panic!(
+                            "P={nranks} corners={corners} block {key:?} word {i}: \
+                             {:e} vs serial {:e}",
+                            f64::from_bits(got[i]),
+                            f64::from_bits(want[i])
+                        );
+                    }
+                    checked += 1;
+                }
+            }
+            assert_eq!(checked, serial.num_blocks(), "P={nranks}: every block owned once");
+        }
     }
 }

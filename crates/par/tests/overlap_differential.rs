@@ -1,10 +1,10 @@
 //! Differential proof that comm/compute overlap is bitwise-safe
 //! (DESIGN.md §13): identical adapt+step schedules through the serial
-//! [`Stepper`], [`ParStepper`] and [`DistSim`] with `comm_overlap` on
-//! *and* off — plus a fault-injected `run_resilient_with` run under
-//! overlap — must all produce bitwise-identical state and matching
-//! topology-epoch deltas. A separate test pins the aggregation message
-//! invariant: one message per active rank pair per exchange phase.
+//! [`Stepper`] and the overlapped [`ParStepper`] and [`DistSim`] — plus
+//! a fault-injected `run_resilient_with` run — must all produce
+//! bitwise-identical state and matching topology-epoch deltas. A
+//! separate test pins the aggregation message invariant: one message per
+//! active rank pair per exchange phase.
 
 use std::collections::HashMap;
 
@@ -15,8 +15,9 @@ use ablock_core::layout::{Boundary, RootLayout};
 use ablock_core::ops::ProlongOrder;
 use ablock_core::verify::check_grid;
 use ablock_obs::Metrics;
+use ablock_core::sfc::Curve;
 use ablock_par::{
-    run_resilient_with, DistSim, FaultPlan, Machine, MachineConfig, ParStepper, Policy,
+    run_resilient_with, DistSim, FaultPlan, Machine, MachineConfig, ParStepper, Partitioner,
     RecoverConfig,
 };
 use ablock_solver::{problems, Euler, Geometry, Scheme, SolverConfig, Stepper, TimeStepMode};
@@ -24,23 +25,20 @@ use ablock_testkit::{cases, flag_for_key, gen_schedule, random_geometry, Schedul
 
 const DT: f64 = 1e-3;
 const MAX_LEVEL: u8 = 2;
-const POLICY: Policy = Policy::SfcHilbert;
 const TRANSFER: Transfer = Transfer::Conservative(ProlongOrder::LinearMinmod);
 
-fn cfg(overlap: bool, geom: &Option<Geometry>) -> SolverConfig<Euler<2>> {
+fn cfg(geom: &Option<Geometry>) -> SolverConfig<Euler<2>> {
     let mut c = SolverConfig::new(Euler::new(1.4), Scheme::muscl_rusanov())
-        .with_comm_overlap(overlap)
-        .with_partitioner(POLICY.partitioner());
+        .with_partitioner(Partitioner::sfc(Curve::Hilbert));
     if let Some(g) = geom {
         c = c.with_geometry(g.clone());
     }
     c
 }
 
-/// Subcycled variant: refluxing + local time stepping on top of the
-/// overlap knob under test.
-fn sub_cfg(overlap: bool) -> SolverConfig<Euler<2>> {
-    cfg(overlap, &None)
+/// Subcycled variant: refluxing + local time stepping.
+fn sub_cfg() -> SolverConfig<Euler<2>> {
+    cfg(&None)
         .with_refluxing(true)
         .with_time_step_mode(TimeStepMode::Subcycled)
 }
@@ -115,14 +113,13 @@ fn adapt_serial(grid: &mut BlockGrid<2>, seed: u64, density: u8) -> u64 {
     grid.epoch() - before
 }
 
-/// Serial reference (`comm_overlap` has no serial meaning; the `Stepper`
-/// ignores it by construction).
+/// Serial reference.
 fn run_serial(schedule: &Schedule, geom: &Option<Geometry>) -> (BlockGrid<2>, Vec<u64>) {
     let mut grid = base_grid();
     // masks must exist before the round-0 adapt on every backend
     // (DistSim binarizes them at construction)
     grid.ensure_geometry(geom);
-    let mut stepper: Stepper<2, Euler<2>> = Stepper::new(cfg(true, geom));
+    let mut stepper: Stepper<2, Euler<2>> = Stepper::new(cfg(geom));
     let mut deltas = Vec::new();
     for round in &schedule.rounds {
         deltas.push(adapt_serial(&mut grid, round.flag_seed, round.density));
@@ -134,14 +131,10 @@ fn run_serial(schedule: &Schedule, geom: &Option<Geometry>) -> (BlockGrid<2>, Ve
     (grid, deltas)
 }
 
-fn run_shared(
-    schedule: &Schedule,
-    overlap: bool,
-    geom: &Option<Geometry>,
-) -> (BlockGrid<2>, Vec<u64>) {
+fn run_shared(schedule: &Schedule, geom: &Option<Geometry>) -> (BlockGrid<2>, Vec<u64>) {
     let mut grid = base_grid();
     grid.ensure_geometry(geom);
-    let mut stepper: ParStepper<2, Euler<2>> = ParStepper::new(cfg(overlap, geom));
+    let mut stepper: ParStepper<2, Euler<2>> = ParStepper::new(cfg(geom));
     let mut deltas = Vec::new();
     for round in &schedule.rounds {
         deltas.push(adapt_serial(&mut grid, round.flag_seed, round.density));
@@ -155,11 +148,10 @@ fn run_shared(
 fn run_dist(
     schedule: &Schedule,
     nranks: usize,
-    overlap: bool,
     geom: &Option<Geometry>,
 ) -> (BlockGrid<2>, Vec<u64>) {
     let results = Machine::run(nranks, |comm| {
-        let mut sim = DistSim::partitioned(base_grid(), comm.nranks(), cfg(overlap, geom));
+        let mut sim = DistSim::partitioned(base_grid(), comm.nranks(), cfg(geom));
         let mut deltas = Vec::new();
         for round in &schedule.rounds {
             let owned = sim.owned_ids(comm.rank());
@@ -182,13 +174,12 @@ fn run_dist(
     results.into_iter().flatten().next().expect("rank 0 returns state")
 }
 
-/// Fault-tolerant backend under a given overlap setting (mirrors the
-/// schedule translation in `differential_backends.rs`).
+/// Fault-tolerant backend (mirrors the schedule translation in
+/// `differential_backends.rs`).
 fn run_resilient_backend(
     schedule: &Schedule,
     nranks: usize,
     faults: Option<std::sync::Arc<FaultPlan>>,
-    overlap: bool,
     geom: &Option<Geometry>,
 ) -> BlockGrid<2> {
     let rounds = schedule.rounds.clone();
@@ -215,7 +206,7 @@ fn run_resilient_backend(
         nranks,
         cum,
         DT,
-        cfg(overlap, geom),
+        cfg(geom),
         make_grid,
         rcfg,
         faults,
@@ -232,141 +223,121 @@ fn run_resilient_backend(
     outcome.grid
 }
 
-/// Shared-memory overlap: on and off both match the serial stepper
-/// bitwise, with identical epoch-delta traces.
+/// Shared-memory overlap matches the serial stepper bitwise, with
+/// identical epoch-delta traces.
 #[test]
-fn shared_overlap_on_off_matches_serial() {
+fn shared_overlap_matches_serial() {
     cases(6, 0x5EED_0050, |_, rng| {
         let schedule = gen_schedule(rng);
         let (serial, d_serial) = run_serial(&schedule, &None);
-        for overlap in [true, false] {
-            let (shared, d_shared) = run_shared(&schedule, overlap, &None);
-            assert_eq!(d_serial, d_shared, "epoch deltas serial vs shared overlap={overlap}");
-            assert_bitwise_eq(&serial, &shared, &format!("Stepper vs ParStepper overlap={overlap}"));
-        }
+        let (shared, d_shared) = run_shared(&schedule, &None);
+        assert_eq!(d_serial, d_shared, "epoch deltas serial vs shared");
+        assert_bitwise_eq(&serial, &shared, "Stepper vs ParStepper");
     });
 }
 
-/// Distributed overlap: the aggregated+overlapped exchange and the legacy
-/// per-task exchange both match the serial stepper bitwise; structural
-/// epoch deltas match serial, with at most one extra bump per round when
-/// the incremental rebalance actually migrates blocks.
+/// Distributed overlap: the aggregated+overlapped exchange matches the
+/// serial stepper bitwise; structural epoch deltas match serial, with at
+/// most one extra bump per round when the incremental rebalance actually
+/// migrates blocks.
 #[test]
-fn dist_overlap_on_off_matches_serial() {
+fn dist_overlap_matches_serial() {
     cases(4, 0x5EED_0051, |_, rng| {
         let schedule = gen_schedule(rng);
         let (serial, d_serial) = run_serial(&schedule, &None);
-        for overlap in [true, false] {
-            let (dist, d_dist) = run_dist(&schedule, 2, overlap, &None);
-            assert_eq!(d_serial.len(), d_dist.len(), "round counts overlap={overlap}");
-            for (i, (&ds, &dd)) in d_serial.iter().zip(&d_dist).enumerate() {
-                assert!(
-                    dd == ds || dd == ds + 1,
-                    "epoch delta round {i} overlap={overlap}: serial {ds} vs dist {dd}"
-                );
-            }
-            assert_bitwise_eq(&serial, &dist, &format!("Stepper vs DistSim overlap={overlap}"));
+        let (dist, d_dist) = run_dist(&schedule, 2, &None);
+        assert_eq!(d_serial.len(), d_dist.len(), "round counts");
+        for (i, (&ds, &dd)) in d_serial.iter().zip(&d_dist).enumerate() {
+            assert!(dd == ds || dd == ds + 1, "epoch delta round {i}: serial {ds} vs dist {dd}");
         }
+        assert_bitwise_eq(&serial, &dist, "Stepper vs DistSim");
     });
 }
 
 /// The masked-geometry axis: a random immersed SDF rides the same
 /// schedules. Wall fluxes, frozen solid cells, and mask-aware
-/// prolongation are all rank-local and deterministic, so flipping
-/// `comm_overlap` (and distributing across ranks, and crashing a rank)
-/// must stay bitwise-invisible on masked worlds too.
+/// prolongation are all rank-local and deterministic, so overlapping the
+/// exchange (and distributing across ranks, and crashing a rank) must
+/// stay bitwise-invisible on masked worlds too.
 #[test]
-fn overlap_on_off_matches_serial_masked_geometry() {
+fn overlap_matches_serial_masked_geometry() {
     cases(3, 0x5EED_0054, |_, rng| {
         let geom = Some(random_geometry(rng, 2));
         let schedule = gen_schedule(rng);
         let (serial, d_serial) = run_serial(&schedule, &geom);
-        for overlap in [true, false] {
-            let (shared, d_shared) = run_shared(&schedule, overlap, &geom);
-            assert_eq!(d_serial, d_shared, "masked epoch deltas serial vs shared overlap={overlap}");
-            assert_bitwise_eq(
-                &serial,
-                &shared,
-                &format!("masked Stepper vs ParStepper overlap={overlap}"),
-            );
-            let (dist, d_dist) = run_dist(&schedule, 2, overlap, &geom);
-            for (i, (&ds, &dd)) in d_serial.iter().zip(&d_dist).enumerate() {
-                assert!(
-                    dd == ds || dd == ds + 1,
-                    "masked epoch delta round {i} overlap={overlap}: serial {ds} vs dist {dd}"
-                );
-            }
-            assert_bitwise_eq(
-                &serial,
-                &dist,
-                &format!("masked Stepper vs DistSim overlap={overlap}"),
+        let (shared, d_shared) = run_shared(&schedule, &geom);
+        assert_eq!(d_serial, d_shared, "masked epoch deltas serial vs shared");
+        assert_bitwise_eq(&serial, &shared, "masked Stepper vs ParStepper");
+        let (dist, d_dist) = run_dist(&schedule, 2, &geom);
+        for (i, (&ds, &dd)) in d_serial.iter().zip(&d_dist).enumerate() {
+            assert!(
+                dd == ds || dd == ds + 1,
+                "masked epoch delta round {i}: serial {ds} vs dist {dd}"
             );
         }
-        let resilient = run_resilient_backend(&schedule, 2, None, true, &geom);
-        assert_bitwise_eq(&serial, &resilient, "masked Stepper vs resilient overlap=on");
+        assert_bitwise_eq(&serial, &dist, "masked Stepper vs DistSim");
+        let resilient = run_resilient_backend(&schedule, 2, None, &geom);
+        assert_bitwise_eq(&serial, &resilient, "masked Stepper vs resilient");
     });
 }
 
 /// A resilient run that crashes rank 1 mid-schedule and recovers on fewer
-/// ranks, with overlap on, still matches the serial reference bitwise.
+/// ranks still matches the serial reference bitwise.
 #[test]
 fn resilient_crash_under_overlap_matches_serial() {
     cases(3, 0x5EED_0052, |seed, rng| {
         let schedule = gen_schedule(rng);
         let (serial, _) = run_serial(&schedule, &None);
         let faults = std::sync::Arc::new(FaultPlan::new(seed).crash_rank(1, 30));
-        let resilient = run_resilient_backend(&schedule, 2, Some(faults), true, &None);
-        assert_bitwise_eq(&serial, &resilient, "Stepper vs faulted resilient overlap=on");
+        let resilient = run_resilient_backend(&schedule, 2, Some(faults), &None);
+        assert_bitwise_eq(&serial, &resilient, "Stepper vs faulted resilient");
     });
 }
 
-/// The aggregation invariant, asserted against live comm counters: with
-/// overlap on, every exchange moves exactly one message per active rank
-/// pair per phase (`comm.agg.messages` == plan-derived pair count ==
-/// `comm.agg.pair_msgs_expected`), and the aggregated path moves at
-/// least 25% fewer halo messages than the legacy per-task exchange.
+/// The aggregation invariant, asserted against live comm counters: every
+/// exchange moves exactly one message per active rank pair per phase
+/// (`comm.agg.messages` == plan-derived pair count ==
+/// `comm.agg.pair_msgs_expected`). Each segment is exactly one message
+/// of a one-message-per-task exchange, so aggregation must cut the
+/// message count by at least 25% against the segment count, and every
+/// value sent must arrive as a halo value.
 #[test]
 fn aggregated_messages_equal_active_pairs() {
     const NRANKS: usize = 3;
     const STEPS: usize = 3;
-    let run = |overlap: bool| {
-        Machine::run(NRANKS, move |comm| {
-            let metrics = Metrics::recording();
-            let mut sim = DistSim::partitioned(
-                base_grid(),
-                comm.nranks(),
-                cfg(overlap, &None).with_metrics(metrics.clone()),
-            );
-            // one adapt round so prolongation (phase-2) traffic exists
-            let owned = sim.owned_ids(comm.rank());
-            let flags = flags_for(&sim.grid, 0xA11CE, 60, Some(&owned));
-            sim.adapt_rebalance(&comm, &flags);
-            for _ in 0..STEPS {
-                sim.step_rk2(&comm, DT);
+    let snaps = Machine::run(NRANKS, move |comm| {
+        let metrics = Metrics::recording();
+        let mut sim = DistSim::partitioned(
+            base_grid(),
+            comm.nranks(),
+            cfg(&None).with_metrics(metrics.clone()),
+        );
+        // one adapt round so prolongation (phase-2) traffic exists
+        let owned = sim.owned_ids(comm.rank());
+        let flags = flags_for(&sim.grid, 0xA11CE, 60, Some(&owned));
+        sim.adapt_rebalance(&comm, &flags);
+        for _ in 0..STEPS {
+            sim.step_rk2(&comm, DT);
+        }
+        // independently derive the active-pair count from the plan
+        let mut owner: HashMap<ablock_core::arena::BlockId, usize> = HashMap::new();
+        for r in 0..comm.nranks() {
+            for id in sim.owned_ids(r) {
+                owner.insert(id, r);
             }
-            // independently derive the active-pair count from the plan
-            let mut owner: HashMap<ablock_core::arena::BlockId, usize> = HashMap::new();
-            for r in 0..comm.nranks() {
-                for id in sim.owned_ids(r) {
-                    owner.insert(id, r);
-                }
-            }
-            let pairs = sim.engine().plan().aggregate(&sim.grid, &|id| owner[&id]).num_messages();
-            (metrics.snapshot(), pairs)
-        })
-        .expect("fault-free machine run")
-    };
+        }
+        let pairs = sim.engine().plan().aggregate(&sim.grid, &|id| owner[&id]).num_messages();
+        (metrics.snapshot(), pairs)
+    })
+    .expect("fault-free machine run");
 
-    let on = run(true);
-    let pairs = on[0].1;
+    let pairs = snaps[0].1;
     assert!(pairs > 0, "test topology must have cross-rank traffic");
-    assert!(on.iter().all(|(_, p)| *p == pairs), "replicated plans disagree on pair count");
-    let sum = |snaps: &[(ablock_obs::MetricsSnapshot, usize)], key: &str| -> u64 {
-        snaps.iter().map(|(s, _)| s.counter(key)).sum()
-    };
+    assert!(snaps.iter().all(|(_, p)| *p == pairs), "replicated plans disagree on pair count");
+    let sum = |key: &str| -> u64 { snaps.iter().map(|(s, _)| s.counter(key)).sum() };
     // RK2 = two ghost exchanges per step
     let exchanges = (2 * STEPS) as u64;
-    let agg_msgs = sum(&on, "comm.agg.messages");
+    let agg_msgs = sum("comm.agg.messages");
     assert_eq!(
         agg_msgs,
         exchanges * pairs as u64,
@@ -374,38 +345,32 @@ fn aggregated_messages_equal_active_pairs() {
     );
     assert_eq!(
         agg_msgs,
-        sum(&on, "comm.agg.pair_msgs_expected"),
+        sum("comm.agg.pair_msgs_expected"),
         "sent messages must match the plan-derived expectation"
     );
-    assert_eq!(sum(&on, "comm.halo.messages"), 0, "overlap run must not use the legacy path");
-
-    let off = run(false);
-    let halo_msgs = sum(&off, "comm.halo.messages");
-    assert_eq!(sum(&off, "comm.agg.messages"), 0, "legacy run must not use the aggregated path");
+    let segments = sum("comm.agg.segments");
     assert!(
-        4 * agg_msgs <= 3 * halo_msgs,
-        "aggregation must cut halo messages by >= 25%: {agg_msgs} vs {halo_msgs}"
+        4 * agg_msgs <= 3 * segments,
+        "aggregation must cut messages by >= 25% against one per task: \
+         {agg_msgs} messages for {segments} segments"
     );
-    // both paths deliver the same payload volume to ghost cells
     assert_eq!(
-        sum(&on, "dist.halo_values_recv"),
-        sum(&off, "dist.halo_values_recv"),
-        "aggregated and legacy paths must move identical halo volumes"
+        sum("comm.agg.values"),
+        sum("dist.halo_values_recv"),
+        "every value sent must be received as a halo value"
     );
 }
 
-/// Subcycled local time stepping under both overlap settings (DESIGN.md
-/// §17): the per-sublevel ghost fills always ride the aggregated
-/// exchange, so flipping `comm_overlap` must not perturb a subcycled run
-/// — shared and distributed backends match the serial subcycled stepper
-/// bitwise either way.
+/// Subcycled local time stepping (DESIGN.md §17): the per-sublevel ghost
+/// fills ride the same aggregated exchange, and shared and distributed
+/// backends match the serial subcycled stepper bitwise.
 #[test]
-fn subcycled_overlap_on_off_matches_serial() {
+fn subcycled_overlap_matches_serial() {
     cases(4, 0x5EED_0053, |_, rng| {
         let schedule = gen_schedule(rng);
         // serial subcycled reference
         let mut serial = base_grid();
-        let mut st: Stepper<2, Euler<2>> = Stepper::new(sub_cfg(true));
+        let mut st: Stepper<2, Euler<2>> = Stepper::new(sub_cfg());
         for round in &schedule.rounds {
             adapt_serial(&mut serial, round.flag_seed, round.density);
             for _ in 0..round.steps {
@@ -413,40 +378,30 @@ fn subcycled_overlap_on_off_matches_serial() {
             }
         }
         check_grid(&serial).unwrap();
-        for overlap in [true, false] {
-            let mut shared = base_grid();
-            let mut ps: ParStepper<2, Euler<2>> = ParStepper::new(sub_cfg(overlap));
+        let mut shared = base_grid();
+        let mut ps: ParStepper<2, Euler<2>> = ParStepper::new(sub_cfg());
+        for round in &schedule.rounds {
+            adapt_serial(&mut shared, round.flag_seed, round.density);
+            for _ in 0..round.steps {
+                ps.step(&mut shared, DT);
+            }
+        }
+        assert_bitwise_eq(&serial, &shared, "subcycled Stepper vs ParStepper");
+        let results = Machine::run(2, |comm| {
+            let mut sim = DistSim::partitioned(base_grid(), comm.nranks(), sub_cfg());
             for round in &schedule.rounds {
-                adapt_serial(&mut shared, round.flag_seed, round.density);
+                let owned = sim.owned_ids(comm.rank());
+                let flags = flags_for(&sim.grid, round.flag_seed, round.density, Some(&owned));
+                sim.adapt_rebalance(&comm, &flags);
                 for _ in 0..round.steps {
-                    ps.step(&mut shared, DT);
+                    sim.advance(&comm, DT);
                 }
             }
-            assert_bitwise_eq(
-                &serial,
-                &shared,
-                &format!("subcycled Stepper vs ParStepper overlap={overlap}"),
-            );
-            let results = Machine::run(2, |comm| {
-                let mut sim = DistSim::partitioned(base_grid(), comm.nranks(), sub_cfg(overlap));
-                for round in &schedule.rounds {
-                    let owned = sim.owned_ids(comm.rank());
-                    let flags = flags_for(&sim.grid, round.flag_seed, round.density, Some(&owned));
-                    sim.adapt_rebalance(&comm, &flags);
-                    for _ in 0..round.steps {
-                        sim.advance(&comm, DT);
-                    }
-                }
-                sim.gather_full(&comm);
-                (comm.rank() == 0).then_some(sim.grid)
-            })
-            .expect("fault-free machine run");
-            let dist = results.into_iter().flatten().next().expect("rank 0 returns state");
-            assert_bitwise_eq(
-                &serial,
-                &dist,
-                &format!("subcycled Stepper vs DistSim overlap={overlap}"),
-            );
-        }
+            sim.gather_full(&comm);
+            (comm.rank() == 0).then_some(sim.grid)
+        })
+        .expect("fault-free machine run");
+        let dist = results.into_iter().flatten().next().expect("rank 0 returns state");
+        assert_bitwise_eq(&serial, &dist, "subcycled Stepper vs DistSim");
     });
 }

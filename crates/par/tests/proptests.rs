@@ -6,7 +6,9 @@
 //! a failing case reports its seed so it can be replayed exactly.
 
 use ablock_core::key::BlockKey;
-use ablock_par::{imbalance, Machine, Policy};
+use ablock_core::partition::Partitioner;
+use ablock_core::sfc::Curve;
+use ablock_par::{imbalance, Machine};
 use ablock_testkit::cases;
 
 fn keys_2d(n: i64) -> Vec<BlockKey<2>> {
@@ -15,7 +17,7 @@ fn keys_2d(n: i64) -> Vec<BlockKey<2>> {
         .collect()
 }
 
-/// Every policy produces a valid assignment: in-range ranks, every
+/// Every partitioner produces a valid assignment: in-range ranks, every
 /// block assigned, and (for nranks <= blocks with uniform weights)
 /// no empty rank for the SFC policies.
 #[test]
@@ -29,16 +31,21 @@ fn partitions_are_valid() {
         if heavy {
             weights[0] = 10.0;
         }
-        for policy in [Policy::SfcMorton, Policy::SfcHilbert, Policy::RoundRobin, Policy::Greedy] {
-            let a = policy.partitioner().assign_keys(&keys, &weights, nranks);
+        for part in [
+            Partitioner::sfc(Curve::Morton),
+            Partitioner::sfc(Curve::Hilbert),
+            Partitioner::round_robin(),
+            Partitioner::greedy(),
+        ] {
+            let a = part.assign_keys(&keys, &weights, nranks);
             assert_eq!(a.len(), keys.len());
-            assert!(a.iter().all(|&r| r < nranks), "{policy:?}");
+            assert!(a.iter().all(|&r| r < nranks), "{part:?}");
             if nranks <= keys.len() && !heavy {
                 let mut used = vec![false; nranks];
                 for &r in &a {
                     used[r] = true;
                 }
-                assert!(used.iter().all(|&u| u), "{policy:?} left a rank empty");
+                assert!(used.iter().all(|&u| u), "{part:?} left a rank empty");
             }
         }
     });
@@ -62,7 +69,7 @@ fn greedy_meets_lpt_bound() {
                 1.0 + ((state >> 33) % 100) as f64 / 25.0
             })
             .collect();
-        let g = Policy::Greedy.partitioner().assign_keys(&keys, &weights, nranks);
+        let g = Partitioner::greedy().assign_keys(&keys, &weights, nranks);
         let ig = imbalance(&weights, &g, nranks);
         assert!(ig >= 1.0 - 1e-12);
         let total: f64 = weights.iter().sum();
@@ -85,7 +92,7 @@ fn greedy_meets_lpt_bound() {
 #[test]
 fn sfc_chunks_contiguous() {
     cases(24, 0xBA1A_0003, |_, rng| {
-        use ablock_core::sfc::{curve_index, required_bits, Curve};
+        use ablock_core::sfc::{curve_index, required_bits};
         let n = rng.i64_in(2, 7);
         let nranks = rng.usize_in(1, 10);
         let seed = rng.next_u64();
@@ -98,7 +105,7 @@ fn sfc_chunks_contiguous() {
                 0.5 + ((state >> 33) % 10) as f64
             })
             .collect();
-        let a = Policy::SfcMorton.partitioner().assign_keys(&keys, &weights, nranks);
+        let a = Partitioner::sfc(Curve::Morton).assign_keys(&keys, &weights, nranks);
         let bits = required_bits(n, 1);
         let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_by_key(|&i| curve_index(&keys[i], 1, bits, Curve::Morton));

@@ -3,9 +3,8 @@
 //! ownership `DistSim` reaches through spliced-walk cut-point plans is
 //! identical to a from-scratch `Partitioner::partition_grid` of the same
 //! grid, the grid passes `check_grid` after every plan application, and
-//! the field state stays bitwise-identical to the serial stepper —
-//! overlap on and off, Hilbert and Morton, and under a non-uniform
-//! measured-cost weight hook.
+//! the field state stays bitwise-identical to the serial stepper — on
+//! Hilbert and Morton, and under a non-uniform measured-cost weight hook.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -120,7 +119,6 @@ fn run_dist(
     schedule: &Schedule,
     nranks: usize,
     part: &Partitioner,
-    overlap: bool,
     weight_fn: Option<WeightFn<2>>,
     check_owner: bool,
     geom: &Option<Geometry>,
@@ -129,7 +127,7 @@ fn run_dist(
         let mut sim = DistSim::partitioned(
             base_grid(),
             comm.nranks(),
-            cfg(geom).with_comm_overlap(overlap).with_partitioner(part.clone()),
+            cfg(geom).with_partitioner(part.clone()),
         );
         if let Some(w) = &weight_fn {
             sim.set_weight_fn(w.clone());
@@ -177,17 +175,15 @@ fn run_dist(
 }
 
 /// Random adapt schedules: incremental ownership == from-scratch
-/// partition after every plan, bitwise state == serial, overlap on/off.
+/// partition after every plan, bitwise state == serial.
 #[test]
 fn incremental_rebalance_matches_from_scratch_and_serial() {
     cases(4, 0x5EED_0060, |_, rng| {
         let schedule = gen_schedule(rng);
         let serial = run_serial(&schedule, &None);
         let part = Partitioner::default();
-        for overlap in [true, false] {
-            let dist = run_dist(&schedule, 3, &part, overlap, None, true, &None);
-            assert_bitwise_eq(&serial, &dist, &format!("serial vs dist overlap={overlap}"));
-        }
+        let dist = run_dist(&schedule, 3, &part, None, true, &None);
+        assert_bitwise_eq(&serial, &dist, "serial vs dist");
     });
 }
 
@@ -199,7 +195,7 @@ fn incremental_rebalance_exact_on_morton() {
         let schedule = gen_schedule(rng);
         let serial = run_serial(&schedule, &None);
         let part = Partitioner::sfc(Curve::Morton);
-        let dist = run_dist(&schedule, 2, &part, true, None, true, &None);
+        let dist = run_dist(&schedule, 2, &part, None, true, &None);
         assert_bitwise_eq(&serial, &dist, "serial vs dist (Morton)");
     });
 }
@@ -224,7 +220,7 @@ fn measured_weight_hook_keeps_state_bitwise() {
         let part = Partitioner::default();
         // ownership diverges from the uniform-weight from-scratch oracle
         // by design; the invariant under test is bitwise state safety
-        let dist = run_dist(&schedule, 3, &part, true, Some(weights), false, &None);
+        let dist = run_dist(&schedule, 3, &part, Some(weights), false, &None);
         assert_bitwise_eq(&serial, &dist, "serial vs dist (weight hook)");
     });
 }
@@ -241,7 +237,7 @@ fn incremental_rebalance_masked_geometry() {
         let schedule = gen_schedule(rng);
         let serial = run_serial(&schedule, &geom);
         let part = Partitioner::default();
-        let dist = run_dist(&schedule, 3, &part, true, None, true, &geom);
+        let dist = run_dist(&schedule, 3, &part, None, true, &geom);
         assert_bitwise_eq(&serial, &dist, "serial vs dist (masked geometry)");
     });
 }

@@ -15,10 +15,11 @@ use ablock_core::grid::{BlockGrid, GridParams, Transfer};
 use ablock_core::key::BlockKey;
 use ablock_core::layout::{Boundary, RootLayout};
 use ablock_core::ops::ProlongOrder;
+use ablock_core::sfc::Curve;
 use ablock_core::verify::check_grid;
 use ablock_io::{load_grid, save_grid};
 use ablock_par::{
-    run_resilient_with, DistSim, FaultPlan, Machine, MachineConfig, ParStepper, Policy,
+    run_resilient_with, DistSim, FaultPlan, Machine, MachineConfig, ParStepper, Partitioner,
     RecoverConfig,
 };
 use ablock_solver::{
@@ -33,9 +34,9 @@ const DT: f64 = 1e-3;
 const MAX_LEVEL: u8 = 2;
 const TRANSFER: Transfer = Transfer::Conservative(ProlongOrder::LinearMinmod);
 
-fn sub_cfg(policy: Policy, geom: &Option<Geometry>) -> SolverConfig<Euler<2>> {
+fn sub_cfg(curve: Curve, geom: &Option<Geometry>) -> SolverConfig<Euler<2>> {
     let mut cfg = SolverConfig::new(Euler::new(1.4), Scheme::muscl_rusanov())
-        .with_partitioner(policy.partitioner())
+        .with_partitioner(Partitioner::sfc(curve))
         .with_refluxing(true)
         .with_time_step_mode(TimeStepMode::Subcycled);
     if let Some(g) = geom {
@@ -133,7 +134,7 @@ fn run_serial_sub(schedule: &Schedule, geom: &Option<Geometry>) -> (BlockGrid<2>
     // DistSim (which binarizes masks at construction): the round-0
     // prolongation must already be mask-aware on every backend
     grid.ensure_geometry(geom);
-    let mut stepper: Stepper<2, Euler<2>> = Stepper::new(sub_cfg(Policy::SfcHilbert, geom));
+    let mut stepper: Stepper<2, Euler<2>> = Stepper::new(sub_cfg(Curve::Hilbert, geom));
     let mut dts = Vec::new();
     for (ri, round) in schedule.rounds.iter().enumerate() {
         adapt_serial(&mut grid, round.flag_seed, round.density);
@@ -143,7 +144,7 @@ fn run_serial_sub(schedule: &Schedule, geom: &Option<Geometry>) -> (BlockGrid<2>
         }
         if schedule.checkpoint_after_round == Some(ri) {
             grid = checkpoint_cut(&grid);
-            stepper = Stepper::new(sub_cfg(Policy::SfcHilbert, geom));
+            stepper = Stepper::new(sub_cfg(Curve::Hilbert, geom));
         }
     }
     check_grid(&grid).unwrap();
@@ -154,7 +155,7 @@ fn run_shared_sub(schedule: &Schedule, geom: &Option<Geometry>) -> (BlockGrid<2>
     let mut grid = base_grid();
     grid.ensure_geometry(geom);
     let mut stepper: ParStepper<2, Euler<2>> =
-        ParStepper::new(sub_cfg(Policy::SfcHilbert, geom));
+        ParStepper::new(sub_cfg(Curve::Hilbert, geom));
     let mut dts = Vec::new();
     for (ri, round) in schedule.rounds.iter().enumerate() {
         adapt_serial(&mut grid, round.flag_seed, round.density);
@@ -164,24 +165,24 @@ fn run_shared_sub(schedule: &Schedule, geom: &Option<Geometry>) -> (BlockGrid<2>
         }
         if schedule.checkpoint_after_round == Some(ri) {
             grid = checkpoint_cut(&grid);
-            stepper = ParStepper::new(sub_cfg(Policy::SfcHilbert, geom));
+            stepper = ParStepper::new(sub_cfg(Curve::Hilbert, geom));
         }
     }
     (grid, dts)
 }
 
-/// Distributed subcycled backend under a chosen partition policy. The
+/// Distributed subcycled backend under SFC cuts along `curve`. The
 /// per-level allreduce in `DistSim::stable_dt` must reproduce the serial
 /// CFL trace bitwise (f64 max is exact and order-independent).
 fn run_dist_sub(
     schedule: &Schedule,
     nranks: usize,
-    policy: Policy,
+    curve: Curve,
     geom: &Option<Geometry>,
 ) -> (BlockGrid<2>, Vec<u64>) {
     let geom = geom.clone();
     let results = Machine::run(nranks, move |comm| {
-        let mut sim = DistSim::partitioned(base_grid(), comm.nranks(), sub_cfg(policy, &geom));
+        let mut sim = DistSim::partitioned(base_grid(), comm.nranks(), sub_cfg(curve, &geom));
         let mut dts = Vec::new();
         for (ri, round) in schedule.rounds.iter().enumerate() {
             let owned = sim.owned_ids(comm.rank());
@@ -194,7 +195,7 @@ fn run_dist_sub(
             if schedule.checkpoint_after_round == Some(ri) {
                 sim.gather_full(&comm);
                 let loaded = checkpoint_cut(&sim.grid);
-                sim = DistSim::partitioned(loaded, comm.nranks(), sub_cfg(policy, &geom));
+                sim = DistSim::partitioned(loaded, comm.nranks(), sub_cfg(curve, &geom));
             }
         }
         sim.gather_full(&comm);
@@ -241,7 +242,7 @@ fn run_resilient_sub(
         nranks,
         cum,
         DT,
-        sub_cfg(Policy::SfcHilbert, geom),
+        sub_cfg(Curve::Hilbert, geom),
         make_grid,
         rcfg,
         faults,
@@ -267,10 +268,10 @@ fn subcycled_differential_case(rng: &mut ablock_testkit::Rng, geom: &Option<Geom
     let (shared, dt_shared) = run_shared_sub(&schedule, geom);
     assert_eq!(dt_serial, dt_shared, "stable_dt trace serial vs shared");
     assert_bitwise_eq(&serial, &shared, "subcycled Stepper vs ParStepper");
-    for policy in [Policy::SfcHilbert, Policy::SfcMorton] {
-        let (dist, dt_dist) = run_dist_sub(&schedule, 2, policy, geom);
-        assert_eq!(dt_serial, dt_dist, "stable_dt trace serial vs dist {policy:?}");
-        assert_bitwise_eq(&serial, &dist, &format!("subcycled Stepper vs DistSim {policy:?}"));
+    for curve in [Curve::Hilbert, Curve::Morton] {
+        let (dist, dt_dist) = run_dist_sub(&schedule, 2, curve, geom);
+        assert_eq!(dt_serial, dt_dist, "stable_dt trace serial vs dist {curve:?}");
+        assert_bitwise_eq(&serial, &dist, &format!("subcycled Stepper vs DistSim {curve:?}"));
     }
     let resilient = run_resilient_sub(&schedule, 2, None, geom);
     assert_bitwise_eq(&serial, &resilient, "subcycled Stepper vs run_resilient");
@@ -334,7 +335,7 @@ fn subcycled_totals_match_global_dt_to_ulps() {
         let mut g_glob = base_grid();
         let nvar = 4;
         let t0: Vec<f64> = (0..nvar).map(|v| total_conserved(&g_sub, v)).collect();
-        let mut st_sub: Stepper<2, Euler<2>> = Stepper::new(sub_cfg(Policy::SfcHilbert, &None));
+        let mut st_sub: Stepper<2, Euler<2>> = Stepper::new(sub_cfg(Curve::Hilbert, &None));
         let mut st_glob: Stepper<2, Euler<2>> = Stepper::new(global_cfg());
         // one "event" = a step or an adapt round; each adds at most a few
         // ulps of summation noise to a conserved total

@@ -2,9 +2,11 @@
 //!
 //! A [`SolverConfig`] bundles what used to be scattered across positional
 //! constructor arguments and per-type builder methods: the physics
-//! system, the spatial [`Scheme`], the time integrator, the CFL number,
-//! refluxing, the derived [`GhostConfig`], and the [`Metrics`] sink. The
-//! serial [`Stepper`](crate::stepper::Stepper), the shared-memory and
+//! system, the spatial [`Scheme`], the time integrator and
+//! [`TimeStepMode`], the CFL number, refluxing, the derived
+//! [`GhostConfig`], the [`Metrics`] sink, the [`Partitioner`], and an
+//! optional immersed [`Geometry`]. The serial
+//! [`Stepper`](crate::stepper::Stepper), the shared-memory and
 //! distributed executors in `ablock-par`, and the AMR driver in
 //! `ablock-amr` all consume it unchanged, so a simulation is configured
 //! once and handed to whichever executor fits the machine:
@@ -23,7 +25,9 @@
 //! Defaults are derived, not guessed twice: the time integrator matches
 //! the reconstruction order (RK2 for MUSCL, forward Euler for first
 //! order) and the ghost configuration matches the physics and scheme via
-//! [`ghost_config_for`]. Every field stays public and overridable.
+//! [`ghost_config_for`]. Every field stays public and overridable. None
+//! of them selects an execution path: each parallel executor has exactly
+//! one ghost exchange, overlapped with its sweep (DESIGN.md §13).
 
 use ablock_core::geom::Geometry;
 use ablock_core::ghost::GhostConfig;
@@ -72,14 +76,6 @@ pub struct SolverConfig<P: Physics> {
     pub refluxing: bool,
     /// Ghost-exchange configuration; defaults via [`ghost_config_for`].
     pub ghost: GhostConfig,
-    /// Overlap interior flux computation with the ghost exchange: the
-    /// parallel executors in `ablock-par` split each sweep into interior
-    /// and halo sub-sweeps and compute interior fluxes while aggregated
-    /// exchanges are in flight, joining before the halo sub-sweep. The
-    /// result is bitwise-identical either way (only cross-block execution
-    /// order changes); the toggle exists for A/B benchmarking. The serial
-    /// stepper ignores it. Defaults to `true`.
-    pub comm_overlap: bool,
     /// Observability sink shared by the engine and the executor (null by
     /// default: instrumentation compiles to one branch).
     pub metrics: Metrics,
@@ -115,7 +111,6 @@ impl<P: Physics> SolverConfig<P> {
             cfl: 0.4,
             refluxing: false,
             ghost,
-            comm_overlap: true,
             metrics: Metrics::null(),
             partitioner: Partitioner::default(),
             geometry: None,
@@ -154,15 +149,6 @@ impl<P: Physics> SolverConfig<P> {
     /// Override the derived ghost configuration.
     pub fn with_ghost(mut self, ghost: GhostConfig) -> Self {
         self.ghost = ghost;
-        self
-    }
-
-    /// Enable or disable comm/compute overlap in the parallel executors
-    /// (see the [`SolverConfig::comm_overlap`] field). On by default;
-    /// turning it off selects the legacy non-overlapped exchange for A/B
-    /// benchmarking — the numerics are bitwise-identical either way.
-    pub fn with_comm_overlap(mut self, on: bool) -> Self {
-        self.comm_overlap = on;
         self
     }
 

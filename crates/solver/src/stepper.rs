@@ -57,11 +57,9 @@ pub enum TimeScheme {
 }
 
 /// Serial executor: drives steps of `∂u/∂t = L(u)` on a block grid over a
-/// [`SweepEngine`] (which owns plan cache and scratch).
-///
-/// [`SolverConfig::comm_overlap`] has no serial meaning and is ignored
-/// here; it is the bitwise reference the overlapped parallel executors
-/// are differentially tested against.
+/// [`SweepEngine`] (which owns plan cache and scratch). It is the bitwise
+/// reference the parallel executors, which overlap their ghost exchange
+/// with the sweep, are differentially tested against.
 pub struct Stepper<const D: usize, P: Physics> {
     cfg: SolverConfig<P>,
     engine: SweepEngine<D>,

@@ -119,14 +119,12 @@ pub enum FuzzCmd {
     /// against the same evolving grid.
     StepSub,
     /// One RK2 Euler step through a cached shared-memory [`ParStepper`]
-    /// with `comm_overlap` on (`O`) or off (`N`), differentially checked
-    /// **bitwise** against a fresh serial stepper run on a
-    /// checkpoint-cloned twin grid; execution continues on the parallel
-    /// result, so later commands build on the aggregated path's output.
-    StepPar {
-        /// Whether the parallel stepper overlaps comm and compute.
-        overlap: bool,
-    },
+    /// (`O`; `N`, which once selected a non-overlapped variant, parses to
+    /// the same command), differentially checked **bitwise** against a
+    /// fresh serial stepper run on a checkpoint-cloned twin grid;
+    /// execution continues on the parallel result, so later commands
+    /// build on the overlapped path's output.
+    StepPar,
     /// Incremental rebalance oracle: plan a partition of the current
     /// grid onto `1 + r % 6` virtual ranks through the harness's
     /// splice-maintained [`CurveWalk`] and persistent by-key owner map,
@@ -149,7 +147,7 @@ pub enum FuzzCmd {
 
 /// Format a script as the compact text form accepted by [`parse_script`]:
 /// `R<r>` `C<r>` `A<seed>:<density>` `M<seed>:<0|1>` `B<r>` `G<seed>`
-/// `K` `G` `S` `T` `O` `N` `P` `X`, space-separated, seeds in hex (bare
+/// `K` `G` `S` `T` `O` `P` `X`, space-separated, seeds in hex (bare
 /// `G` is the ghost-fill command; `G` with a payload installs a random
 /// immersed geometry).
 pub fn format_script(cmds: &[FuzzCmd]) -> String {
@@ -168,8 +166,7 @@ pub fn format_script(cmds: &[FuzzCmd]) -> String {
             FuzzCmd::Ghost => "G".to_string(),
             FuzzCmd::Step => "S".to_string(),
             FuzzCmd::StepSub => "T".to_string(),
-            FuzzCmd::StepPar { overlap: true } => "O".to_string(),
-            FuzzCmd::StepPar { overlap: false } => "N".to_string(),
+            FuzzCmd::StepPar => "O".to_string(),
             FuzzCmd::Snapshot => "P".to_string(),
             FuzzCmd::Sabotage => "X".to_string(),
         })
@@ -177,7 +174,8 @@ pub fn format_script(cmds: &[FuzzCmd]) -> String {
     words.join(" ")
 }
 
-/// Parse the text form produced by [`format_script`].
+/// Parse the text form produced by [`format_script`] (plus `N`, an alias
+/// of `O` kept so recorded scripts and replay lines still parse).
 pub fn parse_script(s: &str) -> Result<Vec<FuzzCmd>, String> {
     let mut out = Vec::new();
     for w in s.split_whitespace() {
@@ -222,8 +220,7 @@ pub fn parse_script(s: &str) -> Result<Vec<FuzzCmd>, String> {
             ),
             "S" if rest.is_empty() => FuzzCmd::Step,
             "T" if rest.is_empty() => FuzzCmd::StepSub,
-            "O" if rest.is_empty() => FuzzCmd::StepPar { overlap: true },
-            "N" if rest.is_empty() => FuzzCmd::StepPar { overlap: false },
+            "O" | "N" if rest.is_empty() => FuzzCmd::StepPar,
             "P" if rest.is_empty() => FuzzCmd::Snapshot,
             "X" if rest.is_empty() => FuzzCmd::Sabotage,
             _ => return Err(format!("unknown command {w:?}")),
@@ -437,8 +434,7 @@ struct Harness<const D: usize> {
     stepper: Option<Stepper<D, Euler<D>>>,
     /// Cached refluxing subcycled stepper for [`FuzzCmd::StepSub`].
     sub_stepper: Option<Stepper<D, Euler<D>>>,
-    par_on: Option<ParStepper<D, Euler<D>>>,
-    par_off: Option<ParStepper<D, Euler<D>>>,
+    par: Option<ParStepper<D, Euler<D>>>,
     last_epoch: u64,
     /// Splice-maintained curve walk for [`FuzzCmd::Rebalance`]; `None`
     /// until the first rebalance or after a world swap invalidates ids.
@@ -506,8 +502,7 @@ impl<const D: usize> Harness<D> {
             exchange: None,
             stepper: None,
             sub_stepper: None,
-            par_on: None,
-            par_off: None,
+            par: None,
             last_epoch,
             walk: None,
             owner_by_key: HashMap::new(),
@@ -789,8 +784,7 @@ impl<const D: usize> Harness<D> {
                 self.exchange = None;
                 self.stepper = None;
                 self.sub_stepper = None;
-                self.par_on = None;
-                self.par_off = None;
+                self.par = None;
                 // ids restarted with the reconstruction; ownership is
                 // by-key and survives, the walk rebuilds on next use
                 self.walk = None;
@@ -943,7 +937,7 @@ impl<const D: usize> Harness<D> {
                     }
                 }
             }
-            FuzzCmd::StepPar { overlap } => {
+            FuzzCmd::StepPar => {
                 // Serial twin via a bitwise checkpoint clone (grids are
                 // deliberately not Clone); its ghost junk is irrelevant —
                 // a step fills ghosts from interiors before reading them.
@@ -953,12 +947,8 @@ impl<const D: usize> Harness<D> {
                     load_grid(&mut buf.as_slice()).map_err(|e| format!("load_grid: {e}"))?;
                 fresh_stepper().step_rk2(&mut twin, STEP_DT, None);
                 let solid_before = self.solid_bits();
-                let par = if overlap { &mut self.par_on } else { &mut self.par_off };
-                let par = par.get_or_insert_with(|| {
-                    ParStepper::new(
-                        SolverConfig::new(Euler::new(1.4), Scheme::muscl_rusanov())
-                            .with_comm_overlap(overlap),
-                    )
+                let par = self.par.get_or_insert_with(|| {
+                    ParStepper::new(SolverConfig::new(Euler::new(1.4), Scheme::muscl_rusanov()))
                 });
                 par.step_rk2(&mut self.grid, STEP_DT);
                 if self.solid_bits() != solid_before {
@@ -976,7 +966,7 @@ impl<const D: usize> Harness<D> {
                             let (a, b) = (f.at(c, v), tf.at(c, v));
                             if a.to_bits() != b.to_bits() {
                                 return Err(format!(
-                                    "parallel step (overlap={overlap}) diverged from serial \
+                                    "parallel step diverged from serial \
                                      at {key:?} cell {c:?} var {v}: {a:.17e} != {b:.17e}"
                                 ));
                             }
@@ -1105,8 +1095,7 @@ impl<const D: usize> Harness<D> {
                 self.exchange = None;
                 self.stepper = None;
                 self.sub_stepper = None;
-                self.par_on = None;
-                self.par_off = None;
+                self.par = None;
                 self.walk = None;
                 self.model = RefModel::from_grid(&self.grid);
                 self.last_epoch = self.grid.epoch();
@@ -1187,10 +1176,8 @@ pub fn gen_script(seed: u64, max_cmds: usize, sabotage: bool) -> Vec<FuzzCmd> {
                 FuzzCmd::Step
             } else if roll < 0.84 {
                 FuzzCmd::StepSub
-            } else if roll < 0.87 {
-                FuzzCmd::StepPar { overlap: true }
             } else if roll < 0.90 {
-                FuzzCmd::StepPar { overlap: false }
+                FuzzCmd::StepPar
             } else if roll < 0.93 {
                 FuzzCmd::Checkpoint
             } else if roll < 0.955 {
@@ -1325,14 +1312,15 @@ mod tests {
             FuzzCmd::Ghost,
             FuzzCmd::Step,
             FuzzCmd::StepSub,
-            FuzzCmd::StepPar { overlap: true },
-            FuzzCmd::StepPar { overlap: false },
+            FuzzCmd::StepPar,
             FuzzCmd::Snapshot,
             FuzzCmd::Sabotage,
         ];
         let text = format_script(&script);
         assert_eq!(parse_script(&text).unwrap(), script);
-        assert_eq!(text, "R17 C3 Adeadbeef:12 Mf00:1 B9 Gbee K G S T O N P X");
+        assert_eq!(text, "R17 C3 Adeadbeef:12 Mf00:1 B9 Gbee K G S T O P X");
+        // recorded scripts and replay lines may still carry `N`
+        assert_eq!(parse_script("N O").unwrap(), vec![FuzzCmd::StepPar, FuzzCmd::StepPar]);
     }
 
     #[test]
@@ -1386,16 +1374,16 @@ mod tests {
 
     #[test]
     fn parallel_step_commands_match_serial() {
-        // O and N both run the bitwise differential against a serial twin
+        // each O runs the bitwise differential against a serial twin
         run_script::<2>(
             0x5EED_0012,
             &[
                 FuzzCmd::Refine(3),
-                FuzzCmd::StepPar { overlap: true },
-                FuzzCmd::StepPar { overlap: false },
+                FuzzCmd::StepPar,
+                FuzzCmd::StepPar,
                 FuzzCmd::Step,
                 FuzzCmd::Adapt { seed: 0xA11CE, density: 20 },
-                FuzzCmd::StepPar { overlap: true },
+                FuzzCmd::StepPar,
             ],
         )
         .unwrap();
@@ -1481,7 +1469,7 @@ mod tests {
                 FuzzCmd::Step,
                 FuzzCmd::Refine(2),
                 FuzzCmd::StepSub,
-                FuzzCmd::StepPar { overlap: true },
+                FuzzCmd::StepPar,
                 FuzzCmd::Checkpoint,
                 FuzzCmd::Step,
                 FuzzCmd::Adapt { seed: 0xA11CE, density: 20 },

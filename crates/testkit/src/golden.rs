@@ -100,7 +100,8 @@ pub struct GoldenCase {
 
 /// Golden schedules recorded on the pre-refactor AoS layout. The scripts
 /// deliberately mix structural commands (refine/coarsen/adapt), serial
-/// and parallel RK2 steps (overlap on and off), ghost fills, checkpoint
+/// and parallel RK2 steps (`O`, and its alias `N` from when it selected
+/// a non-overlapped variant), ghost fills, checkpoint
 /// roundtrips, and content-addressed snapshots, so the stream pins the
 /// full hot path — reconstruction, Riemann fluxes, update loops, ghost
 /// transfer operators, and both serialization formats.
